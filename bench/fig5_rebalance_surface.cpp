@@ -36,7 +36,7 @@ struct Setup {
     const double services[3] = {0.004, 0.0015, 0.008};
     const double cvs[3] = {1.0, 1.3, 0.8};
     for (int i = 0; i < 3; ++i) {
-      const JobVertexId v = graph.AddVertex({.name = "V" + std::to_string(i + 1),
+      const JobVertexId v = graph.AddVertex({.name = std::string("V").append(std::to_string(i + 1)),
                                              .parallelism = 8,
                                              .min_parallelism = 1,
                                              .max_parallelism = 60,

@@ -21,7 +21,7 @@ struct ModelFixture {
     JobVertexId prev =
         graph.AddVertex({.name = "Src", .parallelism = 1, .max_parallelism = 1});
     for (int i = 0; i < n; ++i) {
-      const JobVertexId v = graph.AddVertex({.name = "V" + std::to_string(i),
+      const JobVertexId v = graph.AddVertex({.name = std::string("V").append(std::to_string(i)),
                                              .parallelism = 4,
                                              .min_parallelism = 1,
                                              .max_parallelism = p_max,

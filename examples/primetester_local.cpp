@@ -35,13 +35,15 @@ class RandomNumberSource final : public SourceFunction {
 
   bool Produce(Collector& out) override {
     if (produced_ >= total_) return false;
-    const std::uint64_t n = rng_.Next() | 1;
-    out.Emit(MakeRecord<std::uint64_t>(n, n));
-    ++produced_;
+    // Pace BEFORE the emit: the engine ships buffers between Produce calls,
+    // so a record emitted before a sleep would wait the sleep out.
     const auto interval = std::chrono::steady_clock::now() >= switch_at_
                               ? slow_interval_ / 4
                               : slow_interval_;
     std::this_thread::sleep_for(interval);
+    const std::uint64_t n = rng_.Next() | 1;
+    out.Emit(MakeRecord<std::uint64_t>(n, n));
+    ++produced_;
     return true;
   }
 

@@ -26,9 +26,11 @@ class NumberSource final : public SourceFunction {
 
   bool Produce(Collector& out) override {
     if (next_ >= total_) return false;
+    // Pace BEFORE the emit: the engine ships buffers between Produce calls,
+    // so a record emitted before a sleep would wait the sleep out.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     out.Emit(MakeRecord<long long>(next_, static_cast<std::uint64_t>(next_)));
     ++next_;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return true;
   }
 

@@ -34,6 +34,9 @@ class TweetSource final : public SourceFunction {
 
   bool Produce(Collector& out) override {
     if (produced_ >= total_) return false;
+    // Pace BEFORE the emit: the engine ships buffers between Produce calls,
+    // so a record emitted before a sleep would wait the sleep out.
+    std::this_thread::sleep_for(std::chrono::microseconds(800));
     Tweet tweet = generator_.Next(0);
     const std::uint64_t topic = tweet.topic;
     // Each tweet is forwarded twice (paper): to Filter and to HotTopics.
@@ -44,7 +47,6 @@ class TweetSource final : public SourceFunction {
     out.Emit(record, 0);
     out.Emit(record, 1);
     ++produced_;
-    std::this_thread::sleep_for(std::chrono::microseconds(800));
     return true;
   }
 

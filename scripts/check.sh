@@ -35,8 +35,8 @@ else
   echo "== clang++ not found; skipping the thread-safety and function-effects legs (CI runs them) =="
 fi
 
-echo "== Release build + full test suite =="
-cmake -B build -S . >/dev/null
+echo "== Release build (warnings are errors) + full test suite =="
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

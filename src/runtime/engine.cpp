@@ -87,7 +87,7 @@ struct LocalEngine::Channel {
   Mutex mutex;
   ChannelSampler sampler ESP_GUARDED_BY(mutex){1.0, 1};
 
-  // Written under the claim, read lock-free: FlushExpired's not-due
+  // Written under the claim, read lock-free: FlushDue's not-due
   // pre-check and the rescale drain detector rely on the invariant
   // `first_entry_ns != 0  <=>  buffer non-empty`.  The deadline caches
   // edge_deadlines_ so the per-record path skips the hash lookup.
@@ -149,6 +149,13 @@ struct LocalEngine::LocalTask {
   }
   std::size_t QueueSize() const {
     return lanes ? lanes->size() : spsc ? spsc->size() : queue->size();
+  }
+  /// The consumer sleeps on its empty queue and no push has claimed its
+  /// wake yet: the flush-on-idle trigger (DESIGN.md §14).
+  bool QueueConsumerParked() const {
+    return lanes ? lanes->consumer_parked()
+           : spsc ? spsc->consumer_parked()
+                  : queue->consumer_parked();
   }
   std::vector<Envelope> QueueDrainAll() {
     return lanes ? lanes->DrainAll() : spsc ? spsc->DrainAll() : queue->DrainAll();
@@ -264,7 +271,7 @@ class LocalEngine::RoutingCollector final : public Collector {
       ESP_EFFECTS_ESCAPE_END
     }
     const std::int64_t now = now_hint_ns_ != 0 ? now_hint_ns_ : engine_->NowNs();
-    last_now_ns_ = now;  // lent to FlushExpired's not-due precheck
+    last_now_ns_ = now;  // lent to FlushDue's not-due precheck
     if (record.source_emit_ns == 0) record.source_emit_ns = now;
     ++emitted_;
 
@@ -317,7 +324,7 @@ class LocalEngine::RoutingCollector final : public Collector {
   }
 
   /// Timestamp of the latest Emit (0 = never).  The source loop lends it to
-  /// FlushExpired's not-due precheck so an emitting iteration skips a clock
+  /// FlushDue's not-due precheck so an emitting iteration skips a clock
   /// read; it is at most one Produce call old there, the same tolerance as
   /// SetNowHint.
   std::int64_t LastNowNs() const { return last_now_ns_; }
@@ -455,26 +462,28 @@ void LocalEngine::FlushChannel(Channel& channel, bool force,
                                std::int64_t now_hint) {
   if (!force) {
     // Lock-free not-due check: non-forced flushes only ever fire for the
-    // adaptive strategy once the oldest buffered record's deadline passed.
+    // adaptive strategy, once the consumer is parked with no wake claimed
+    // (flush on idle) or the oldest buffered record's deadline passed.
     // `now_hint` (when lent by the caller's loop) is at most one
     // Produce/batch old -- a not-due verdict it produces is re-examined
     // within microseconds, far inside the millisecond deadline scale.
     if (options_.shipping != ShippingStrategy::kAdaptive) return;
     const std::int64_t fe = channel.first_entry_ns.load(std::memory_order_relaxed);
-    if (fe == 0 ||
+    if (fe == 0) return;
+    if (!channel.consumer->QueueConsumerParked() &&
         (now_hint != 0 ? now_hint : NowNs()) - fe <
             channel.flush_deadline.load(std::memory_order_relaxed)) {
       return;
     }
   }
   if (!channel.claim.TryAcquire()) {
-    // Non-forced deadline flushes run on the owner's own thread, so a
-    // failed try means a stealer has the claim -- it will flush; retry next
-    // tick.  Forced flushes may be the control thread racing an ACTIVE
-    // owner: raise the delegation flag first, then spin out the bounded
-    // grace.  If the owner keeps the claim the whole grace, it is live and
-    // appending, and will honor flush_requested at its next boundary --
-    // deadline enforcement holds either way.
+    // Non-forced flushes run on the owner's own thread and never raise
+    // RequestFlush or spin, so a failed try means a stealer has the claim
+    // -- it will flush; retry next tick.  Forced flushes may be the control
+    // thread racing an ACTIVE owner: raise the delegation flag first, then
+    // spin out the bounded grace.  If the owner keeps the claim the whole
+    // grace, it is live and appending, and will honor flush_requested at
+    // its next boundary -- deadline enforcement holds either way.
     if (!force) return;
     channel.claim.RequestFlush();
     if (!channel.claim.TryAcquireFor(kClaimStealGrace)) return;
@@ -485,14 +494,10 @@ void LocalEngine::FlushChannel(Channel& channel, bool force,
     return;
   }
   const std::int64_t now = NowNs();
-  const bool expired =
-      options_.shipping == ShippingStrategy::kAdaptive &&
-      now - channel.first_entry_ns.load(std::memory_order_relaxed) >=
-          channel.flush_deadline.load(std::memory_order_relaxed);
-  if (!force && !expired && !channel.claim.FlushRequested()) {
-    channel.claim.Release();
-    return;
-  }
+  // A non-forced flush got here because the precheck found the consumer
+  // parked or the deadline passed.  Only a stealer can have touched the
+  // buffer since, and it would have emptied it, so a non-empty buffer is
+  // still due: ship it even if the consumer woke meanwhile.
   std::vector<Envelope> flushed;
   flushed.swap(channel.buffer);
   channel.buffer.swap(channel.spare);  // recharge with recycled capacity
@@ -560,7 +565,7 @@ void LocalEngine::DeliverBatch(Channel& channel, std::vector<Envelope>& batch) {
   channel.claim.Release();
 }
 
-void LocalEngine::FlushExpired(LocalTask* task, std::int64_t now_hint) {
+void LocalEngine::FlushDue(LocalTask* task, std::int64_t now_hint) {
   for (auto& per_edge : task->outputs) {
     for (Channel* ch : per_edge) FlushChannel(*ch, /*force=*/false, now_hint);
   }
@@ -638,10 +643,12 @@ void LocalEngine::SourceLoopBody(LocalTask* task, RoutingCollector& collector) {
     const bool more = task->source->Produce(collector);
     const std::uint64_t emitted = collector.TakeEmitted();
     task->emitted_n.fetch_add(emitted, std::memory_order_relaxed);
-    // An emitting iteration lends Emit's clock read to the deadline
-    // precheck; an idle one (emitted == 0) must read fresh -- a frozen hint
-    // would postpone the deadline flush indefinitely.
-    FlushExpired(task, emitted > 0 ? collector.LastNowNs() : 0);
+    // After EVERY Produce call: ships buffers whose consumer is parked
+    // (flush on idle) or whose deadline passed.  An emitting iteration
+    // lends Emit's clock read to the deadline precheck; an idle one
+    // (emitted == 0) must read fresh -- a frozen hint would postpone the
+    // deadline flush indefinitely.
+    FlushDue(task, emitted > 0 ? collector.LastNowNs() : 0);
     if (!more) break;
   }
 }
@@ -820,9 +827,9 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
       }
       m->next_timer_ns += entry.second;
     }
-    FlushExpired(task, now);
 
     if (n == 0) {
+      FlushDue(task, now);
       if (timer_fired) task->busy.store(false);
       if (task->QueueClosed() && task->QueueEmpty()) break;
       continue;
@@ -870,6 +877,11 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
     // One staged flush per head batch: every fused member's per-record
     // attribution lands under a single sampler-lock acquisition.
     if (!task->chain_members.empty()) FlushChainMetrics(task, now);
+    // After EVERY popped batch, fused members' outputs included: the
+    // batch's emissions ship now if their consumer is parked.  Still busy,
+    // so the drain detector cannot see a flush in flight as drained; the
+    // batch's last end stamp is a clock read from this instant.
+    FlushDue(task, end_ns[n - 1]);
     task->busy.store(false);
   }
 

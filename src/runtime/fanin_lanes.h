@@ -18,7 +18,12 @@
 //     protocol is the same Dekker handshake as SpscQueue's: the consumer
 //     raises `consumer_parked_` (seq_cst) and re-checks every lane before
 //     sleeping; a producer's TryPush publishes its count/cursor (seq_cst)
-//     and then reads the flag -- one of them always sees the other.
+//     and then reads the flag -- one of them always sees the other.  The
+//     wake is CLAIMED: the first producer to see the flag clears it with a
+//     seq_cst exchange and is the only one to notify, so N producers
+//     flushing into one waking consumer cost one futex wake, not N, and
+//     `consumer_parked()` reads "asleep, and nobody has claimed its wake
+//     yet" -- the query LocalEngine's flush-on-idle rule polls.
 //
 // The recovery surface mirrors BoundedQueue/SpscQueue so the supervisor
 // stays queue-agnostic: PushFront re-admits salvage through an aggregate
@@ -73,8 +78,12 @@ class FaninLanes {
       switch (q.TryPush(items, lane_wake)) {
         case SpscQueue<T>::PushStatus::kOk:
           // Producer half of the aggregate Dekker handshake: TryPush's
-          // seq_cst count/cursor stores order before this flag read.
-          if (consumer_parked_.load(std::memory_order_seq_cst)) WakeConsumer();
+          // seq_cst count/cursor stores order before this flag read, and
+          // only the producer that wins the exchange notifies.
+          if (consumer_parked_.load(std::memory_order_seq_cst) &&
+              consumer_parked_.exchange(false, std::memory_order_seq_cst)) {
+            WakeConsumer();
+          }
           return true;
         case SpscQueue<T>::PushStatus::kClosed:
           return false;
@@ -172,6 +181,12 @@ class FaninLanes {
 
   std::size_t capacity() const noexcept ESP_NONBLOCKING { return capacity_; }
 
+  /// True while the consumer is parked (or committed to parking) with every
+  /// lane dry and no producer has claimed its wake yet (see the header).
+  bool consumer_parked() const noexcept ESP_NONBLOCKING {
+    return consumer_parked_.load(std::memory_order_seq_cst);
+  }
+
  private:
   /// One lock-free sweep over the lanes, starting at the rotating cursor;
   /// never waits.  Lane wake-throttle decisions (want_wake) surface here
@@ -195,6 +210,7 @@ class FaninLanes {
   /// Consumer side of the aggregate park protocol: raise the flag, re-check
   /// every lane under the mutex, sleep timed.  Producers notify under the
   /// same mutex, so a wake can never land between the re-check and the wait.
+  /// The closing store covers exits no producer claimed (timeout, close).
   void ParkConsumer(std::chrono::nanoseconds timeout)
       ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     consumer_parked_.store(true, std::memory_order_seq_cst);
@@ -246,9 +262,11 @@ class FaninLanes {
   std::size_t rr_cursor_ = 0;
 
   std::atomic<bool> closed_{false};
-  std::atomic<bool> consumer_parked_{false};
   /// Mirror of stash_.size() readable without the park mutex.
   std::atomic<std::size_t> stash_size_{0};
+  /// Own line: every producer polls it per flush check, and only the park
+  /// and wake-claim edges write it.
+  alignas(64) std::atomic<bool> consumer_parked_{false};
 
   mutable Mutex park_mutex_;
   CondVar not_empty_;

@@ -27,6 +27,11 @@
 //     mutex makes the "skip notify" decisions race-free: a waiter registers
 //     itself before releasing the lock, so a notifier holding the lock
 //     either sees it or runs before the wait.
+//   * `consumer_parked()` answers the same query as SpscQueue/FaninLanes
+//     ("asleep, and no push has claimed its wake yet") from an atomic
+//     mirror written only under the mutex: a consumer raises it when it
+//     registers as a waiter, and the first push that notifies it clears it,
+//     so LocalEngine's flush-on-idle rule sees a waking consumer as busy.
 //   * Chunk storage is RECYCLED: a spent chunk (its items handed to the
 //     consumer) parks in a small free pool instead of being freed, and the
 //     lvalue PushAll overload recharges the producer's vector from that
@@ -204,6 +209,11 @@ class BoundedQueue {
     return size_ == 0;
   }
 
+  /// Lock-free read of the parked mirror (see the header).
+  bool consumer_parked() const noexcept ESP_NONBLOCKING {
+    return consumer_parked_.load(std::memory_order_seq_cst);
+  }
+
   /// Total element capacity retained in the spent-chunk free pool; bounded
   /// by `capacity` (see RecycleChunk).  Exposed for the bounded-pool
   /// regression test.
@@ -259,6 +269,7 @@ class BoundedQueue {
       }
     }
     if (waiting_consumers_ > 0) {
+      consumer_parked_.store(false, std::memory_order_seq_cst);  // wake claimed
       // A batch can satisfy several parked consumers; waking just one would
       // strand the rest until the next push (or Close).
       if (n > 1 && waiting_consumers_ > 1) {
@@ -299,11 +310,14 @@ class BoundedQueue {
       ESP_REQUIRES(mutex_) ESP_BLOCKING {
     if (size_ == 0 && !closed_) {
       ++waiting_consumers_;
+      consumer_parked_.store(true, std::memory_order_seq_cst);
       const auto deadline = std::chrono::steady_clock::now() + timeout;
       while (size_ == 0 && !closed_) {
         if (not_empty_.WaitUntil(lock, deadline) == std::cv_status::timeout) break;
       }
-      --waiting_consumers_;
+      if (--waiting_consumers_ == 0) {
+        consumer_parked_.store(false, std::memory_order_seq_cst);
+      }
     }
     return size_ > 0;
   }
@@ -410,6 +424,11 @@ class BoundedQueue {
   std::vector<std::vector<T>> pool_ ESP_GUARDED_BY(mutex_);
   /// Sum of pool_ element capacities; RecycleChunk keeps it <= capacity_.
   std::size_t pooled_capacity_ ESP_GUARDED_BY(mutex_) = 0;
+
+  /// Parked mirror: written only under mutex_ (WaitNotEmpty raises it,
+  /// PushImpl's notify and the last waiter's exit clear it), read lock-free
+  /// by consumer_parked().
+  std::atomic<bool> consumer_parked_{false};
 };
 
 }  // namespace esp::runtime

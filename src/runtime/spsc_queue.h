@@ -32,6 +32,13 @@
 //     notifier notifies.  Notifies happen with the park mutex held (never
 //     lost between the sleeper's re-check and its wait), and waits are
 //     timed as defense in depth.
+//   * ONE WAKE PER PARK: the producer that sees `consumer_parked_` set
+//     clears it with a seq_cst exchange and only the push that won the
+//     exchange notifies, so `consumer_parked()` reads "asleep, and nobody
+//     has claimed its wake yet".  While a wake is in flight the flag is
+//     already clear, which is what lets LocalEngine's flush-on-idle rule
+//     keep batching instead of shipping (and notifying) once per record
+//     until the consumer is back on the CPU (DESIGN.md §14).
 //
 // The recovery surface mirrors BoundedQueue so the supervisor code is
 // queue-agnostic:
@@ -204,6 +211,15 @@ class SpscQueue {
 
   std::size_t capacity() const { return capacity_; }
 
+  /// True while the consumer is parked (or committed to parking) on an
+  /// empty queue and no push has claimed its wake yet.  One lock-free load
+  /// of a line only the park/wake edges write; LocalEngine polls it per
+  /// Produce call / popped batch to ship partial batches to an idle
+  /// consumer.
+  bool consumer_parked() const noexcept ESP_NONBLOCKING {
+    return consumer_parked_.load(std::memory_order_seq_cst);
+  }
+
  private:
   /// FaninLanes composes one SpscQueue per producer into a fan-in array: it
   /// drives the lock-free leaves (TryPush/PopReady) and the per-lane park
@@ -225,9 +241,10 @@ class SpscQueue {
 
   /// Lock-free producer fast path: one attempt to land `items` as a chunk.
   /// Never parks, never takes the park mutex -- on kOk the caller owes the
-  /// consumer a wake iff `want_wake` came back true (the parked-flag read is
-  /// the producer half of the Dekker handshake, so it must stay ordered
-  /// after the seq_cst publication stores in here).
+  /// consumer a wake iff `want_wake` came back true (the parked-flag
+  /// exchange is the producer half of the Dekker handshake, so it must stay
+  /// ordered after the seq_cst publication stores in here).  `want_wake`
+  /// is true for at most one push per park: the winner of the exchange.
   PushStatus TryPush(std::vector<T>& items, bool& want_wake) noexcept ESP_NONBLOCKING {
     if (closed_.load(std::memory_order_seq_cst)) return PushStatus::kClosed;
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
@@ -244,7 +261,10 @@ class SpscQueue {
     // read below (the Dekker handshake with ParkConsumer).
     items_.fetch_add(n, std::memory_order_seq_cst);
     tail_.store(tail + 1, std::memory_order_seq_cst);
-    want_wake = consumer_parked_.load(std::memory_order_seq_cst);
+    // Claim the wake: the load keeps the common not-parked case a shared
+    // read; the exchange lets exactly one push per park notify.
+    want_wake = consumer_parked_.load(std::memory_order_seq_cst) &&
+                consumer_parked_.exchange(false, std::memory_order_seq_cst);
     return PushStatus::kOk;
   }
 
@@ -304,7 +324,9 @@ class SpscQueue {
   }
 
   /// Consumer side of the park protocol.  Raise the flag, re-check, then
-  /// sleep under the mutex with the predicate re-checked each wakeup.
+  /// sleep under the mutex with the predicate re-checked each wakeup.  The
+  /// closing store covers the timeout and spurious-wake exits, where no
+  /// producer claimed the flag.
   void ParkConsumer(std::chrono::nanoseconds timeout) ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     consumer_parked_.store(true, std::memory_order_seq_cst);
     const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -386,8 +408,11 @@ class SpscQueue {
   alignas(64) std::atomic<std::uint64_t> head_{0};
   alignas(64) std::atomic<std::size_t> items_{0};
   std::atomic<bool> closed_{false};
-  std::atomic<bool> consumer_parked_{false};
   std::atomic<bool> producer_parked_{false};
+  /// Own line: producers poll it per Produce call / popped batch
+  /// (consumer_parked()), and only the park/wake edges write it, so the
+  /// poll stays a shared-cache hit instead of bouncing with `items_`.
+  alignas(64) std::atomic<bool> consumer_parked_{false};
   /// Mirror of stash_.size() readable without the park mutex (Empty()/size()
   /// run on the control thread inside the drain detector).
   std::atomic<std::size_t> stash_size_{0};

@@ -56,6 +56,11 @@ class SourceFunction {
   virtual ~SourceFunction() = default;
 
   /// Emits zero or more records.  Returning false ends the source.
+  ///
+  /// Pace BEFORE emitting, never after: the engine ships output buffers
+  /// (to a parked consumer, or on a deadline) only between Produce calls,
+  /// so a record emitted before a sleep inside the same call waits out the
+  /// whole sleep in its buffer.
   virtual bool Produce(Collector& out) = 0;
 };
 

@@ -4,7 +4,10 @@ namespace esp::sim {
 namespace {
 
 std::string ConstraintLabel(const std::vector<std::string>& names, std::size_t k) {
-  return k < names.size() ? names[k] : "c" + std::to_string(k);
+  if (k < names.size()) return names[k];
+  // append, not `"c" + std::to_string(k)`: g++ 12 flags the inlined
+  // operator+ with a false -Wrestrict in optimised builds.
+  return std::string("c").append(std::to_string(k));
 }
 
 }  // namespace

@@ -39,7 +39,8 @@ struct Pipeline {
         graph.AddVertex({.name = "Source", .parallelism = 1, .max_parallelism = 1});
     int i = 0;
     for (const WorkerSpec& s : specs) {
-      const JobVertexId w = graph.AddVertex({.name = "W" + std::to_string(i++),
+      // append, not `"W" + ...`: g++ 12 -Wrestrict false positive at -O3.
+      const JobVertexId w = graph.AddVertex({.name = std::string("W").append(std::to_string(i++)),
                                              .parallelism = s.p,
                                              .min_parallelism = s.p_min,
                                              .max_parallelism = s.p_max,

@@ -1,8 +1,8 @@
 // Tests for the §14 lock-free emit path: the ProducerClaim owner/steal
 // protocol (claim/steal mutual exclusion, flush delegation, the TSan-graded
 // owner-vs-stealer race) and FaninLanes (per-lane FIFO under concurrent
-// producers, round-robin merge fairness, the aggregate park handshake, and
-// the recovery surface: PushFront re-admission, DrainAll salvage, close
+// producers, round-robin merge fairness, the aggregate park handshake and
+// its one-wake-per-park claim, and the recovery surface: PushFront re-admission, DrainAll salvage, close
 // wakes all), plus engine-level lane recovery -- quarantining a lane's
 // producer mid-burst and stop-the-world rescales dissolving and re-forming
 // a laned edge without losing a record.
@@ -292,6 +292,84 @@ TEST(FaninLanes, DrainDetectorSeesNoInFlightItems) {
   lanes.Close();
   consumer.join();
   EXPECT_EQ(processed.load(), pushed);
+}
+
+TEST(FaninLanes, PushClaimsTheParkedConsumersWake) {
+  // The first push into a parked, dry lane array claims the consumer's wake:
+  // consumer_parked() reads false once it returns, and the consumer's 5 s
+  // pop comes back well before its timeout.
+  FaninLanes<int> lanes(16, 2);
+  EXPECT_FALSE(lanes.consumer_parked());
+  std::size_t popped = 0;
+  std::chrono::steady_clock::duration waited{};
+  std::thread consumer([&] {
+    std::vector<int> out;
+    const auto t0 = std::chrono::steady_clock::now();
+    popped = lanes.PopBatchFor(8, std::chrono::seconds(5), out);
+    waited = std::chrono::steady_clock::now() - t0;
+  });
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!lanes.consumer_parked() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(lanes.consumer_parked()) << "consumer never parked";
+  std::vector<int> one = {1};
+  ASSERT_TRUE(lanes.PushAll(1, one));
+  EXPECT_FALSE(lanes.consumer_parked()) << "the push left the wake unclaimed";
+  consumer.join();
+  EXPECT_EQ(popped, 1u);
+  EXPECT_LT(waited, std::chrono::seconds(1));
+}
+
+TEST(FaninLanes, WakeClaimStressWithOneRecordBatches) {
+  // Two producers push one-record batches into their own lanes against a
+  // consumer that parks between them, so both race for the same wake claim
+  // (mostly after waiting for the park, sometimes mid-wake-up).  Exactly
+  // one may notify per park; a lost wake shows as a pop that sleeps out
+  // its 2 s timeout.
+  constexpr int kPerProducer = 1000;
+  FaninLanes<int> lanes(64, 2);
+  std::vector<int> next_expected(2, 0);
+  int received = 0;
+  int stalls = 0;
+  std::thread consumer([&] {
+    std::vector<int> out;
+    for (;;) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::size_t n = lanes.PopBatchFor(64, std::chrono::seconds(2), out);
+      if (n == 0) {
+        if (lanes.closed() && lanes.Empty()) break;
+        // An early empty return is a benign race (count published, cursor
+        // not yet); sleeping out most of the timeout is a lost wake.
+        if (std::chrono::steady_clock::now() - t0 >= std::chrono::seconds(1)) ++stalls;
+        continue;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const int lane = out[i] / kPerProducer;
+        ASSERT_EQ(out[i] % kPerProducer, next_expected[lane]++) << "lane FIFO violated";
+        ++received;
+      }
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int lane = 0; lane < 2; ++lane) {
+    producers.emplace_back([&, lane] {
+      std::vector<int> batch;
+      for (int i = 0; i < kPerProducer; ++i) {
+        for (int spin = 0; i % 3 != 0 && spin < 10'000 && !lanes.consumer_parked();
+             ++spin) {
+          std::this_thread::yield();
+        }
+        batch.push_back(lane * kPerProducer + i);
+        ASSERT_TRUE(lanes.PushAll(static_cast<std::size_t>(lane), batch));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  lanes.Close();
+  consumer.join();
+  EXPECT_EQ(received, 2 * kPerProducer);
+  EXPECT_EQ(stalls, 0) << "a push left a parked consumer asleep";
 }
 
 // ----------------------------------------------------------------- engine

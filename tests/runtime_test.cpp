@@ -1,6 +1,7 @@
 // Tests for the threaded local runtime: the bounded queue, record boxing
-// and the LocalEngine end-to-end (routing patterns, batching strategies,
-// windowed UDFs, termination, and stop-the-world elastic rescaling).
+// and the LocalEngine end-to-end (routing patterns, batching strategies
+// including flush on idle, windowed UDFs, termination, and stop-the-world
+// elastic rescaling).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -556,6 +557,98 @@ TEST(SpscQueue, ConcurrentStressKeepsOrderAndCount) {
   }
   producer.join();
   EXPECT_EQ(expect, kTotal);
+}
+
+// ------------------------------------------------------------ wake claim
+//
+// "Parked" means asleep with no wake claimed yet: the push that finds the
+// consumer parked claims its wake (consumer_parked() reads false once that
+// push returns) and wakes it, on every queue shape.  LocalEngine's flush on
+// idle polls this query, so a stale true would ship one record per poll.
+
+// Parks a consumer on a 5 s pop, pushes one record once it is parked, and
+// checks the push claimed the wake and the pop returned well before its
+// timeout.
+template <typename Queue, typename Push>
+void ExpectPushClaimsParkedConsumer(Queue& q, Push push) {
+  std::size_t popped = 0;
+  std::chrono::steady_clock::duration waited{};
+  std::thread consumer([&] {
+    std::vector<int> out;
+    const auto t0 = std::chrono::steady_clock::now();
+    popped = q.PopBatchFor(16, std::chrono::seconds(5), out);
+    waited = std::chrono::steady_clock::now() - t0;
+  });
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!q.consumer_parked() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(q.consumer_parked()) << "consumer never parked";
+  push();
+  EXPECT_FALSE(q.consumer_parked()) << "the push left the wake unclaimed";
+  consumer.join();
+  EXPECT_EQ(popped, 1u);
+  EXPECT_LT(waited, std::chrono::seconds(1));
+}
+
+TEST(SpscQueue, PushClaimsTheParkedConsumersWake) {
+  SpscQueue<int> q(16);
+  EXPECT_FALSE(q.consumer_parked());
+  ExpectPushClaimsParkedConsumer(q, [&] {
+    std::vector<int> one = {1};
+    ASSERT_TRUE(q.PushAll(one));
+  });
+}
+
+TEST(BoundedQueue, PushClaimsTheParkedConsumersWake) {
+  BoundedQueue<int> q(16);
+  EXPECT_FALSE(q.consumer_parked());
+  ExpectPushClaimsParkedConsumer(q, [&] {
+    std::vector<int> one = {1};
+    ASSERT_TRUE(q.PushAll(one));
+  });
+}
+
+TEST(SpscQueue, WakeClaimStressWithOneRecordBatches) {
+  // One-record pushes against a consumer that parks between them: most
+  // pushes wait for the park and must claim the wake, every third races
+  // the consumer's wake-up instead.  A lost wake shows as a pop that
+  // sleeps out its 2 s timeout; under TSan this grades the claim exchange
+  // against the park.
+  constexpr int kTotal = 2000;
+  SpscQueue<int> q(64);
+  int received = 0;
+  int stalls = 0;
+  std::thread consumer([&] {
+    std::vector<int> out;
+    for (;;) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::size_t n = q.PopBatchFor(64, std::chrono::seconds(2), out);
+      if (n == 0) {
+        if (q.closed() && q.Empty()) break;
+        // An early empty return is a benign race (count published, cursor
+        // not yet); sleeping out most of the timeout is a lost wake.
+        if (std::chrono::steady_clock::now() - t0 >= std::chrono::seconds(1)) ++stalls;
+        continue;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], received) << "FIFO order violated";
+        ++received;
+      }
+    }
+  });
+  std::vector<int> batch;
+  for (int i = 0; i < kTotal; ++i) {
+    for (int spin = 0; i % 3 != 0 && spin < 10'000 && !q.consumer_parked(); ++spin) {
+      std::this_thread::yield();
+    }
+    batch.push_back(i);
+    ASSERT_TRUE(q.PushAll(batch));
+  }
+  q.Close();
+  consumer.join();
+  EXPECT_EQ(received, kTotal);
+  EXPECT_EQ(stalls, 0) << "a push left a parked consumer asleep";
 }
 
 // ---------------------------------------------------------------- fixtures
@@ -1400,6 +1493,166 @@ TEST(LocalEngineChaining, FaultInFusedMemberFailFastTerminates) {
   EXPECT_FALSE(result.failures.front().recovered);
   EXPECT_EQ(result.restarts, 0u);
   EXPECT_LT(result.records_delivered, static_cast<std::uint64_t>(kTotal));
+}
+
+// ----------------------------------------------------------- flush on idle
+//
+// With no constraint an adaptive edge's flush deadline is
+// batching.min_deadline; at 10 s it cannot ship a lone record in time, so
+// only the flush-on-idle rule (ship a non-empty buffer whose consumer is
+// parked) delivers it before the source gives up and ends the stream.
+
+// Emits one record, then idles until `expect` records reached the sink or
+// `give_up` passed, and ends the stream.  `arrived_before_end` reports
+// whether the sink had everything before the source ended.
+class OneRecordThenIdleSource final : public SourceFunction {
+ public:
+  OneRecordThenIdleSource(const std::atomic<int>* arrived, int expect,
+                          milliseconds give_up, std::atomic<bool>* arrived_before_end)
+      : arrived_(arrived),
+        expect_(expect),
+        give_up_(give_up),
+        arrived_before_end_(arrived_before_end) {}
+
+  bool Produce(Collector& out) override {
+    if (!emitted_) {
+      emitted_ = true;
+      start_ = std::chrono::steady_clock::now();
+      out.Emit(MakeRecord<int>(1));
+      return true;
+    }
+    if (arrived_->load() >= expect_) {
+      arrived_before_end_->store(true);
+      return false;
+    }
+    if (std::chrono::steady_clock::now() - start_ >= give_up_) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return true;
+  }
+
+ private:
+  const std::atomic<int>* arrived_;
+  int expect_;
+  milliseconds give_up_;
+  std::atomic<bool>* arrived_before_end_;
+  bool emitted_ = false;
+  std::chrono::steady_clock::time_point start_{};
+};
+
+class CountArrivals final : public Udf {
+ public:
+  explicit CountArrivals(std::atomic<int>* arrived) : arrived_(arrived) {}
+  void OnRecord(const Record&, Collector&) override { arrived_->fetch_add(1); }
+
+ private:
+  std::atomic<int>* arrived_;
+};
+
+class Forward final : public Udf {
+ public:
+  void OnRecord(const Record& r, Collector& out) override { out.Emit(r); }
+};
+
+struct IdleRun {
+  EngineResult result;
+  bool arrived_before_end = false;
+};
+
+// Runs `g` (source "Src", sink "Snk", optional pass-through "A") with one
+// record per source subtask and a 10 s flush deadline.
+IdleRun RunOneRecordPerSource(JobGraph g, LocalEngineOptions opts, int sources,
+                              milliseconds give_up) {
+  opts.batching.min_deadline = FromSeconds(10);
+  std::atomic<int> arrived{0};
+  std::atomic<bool> arrived_before_end{false};
+  const bool has_mid = g.VertexIds().size() == 3;
+  LocalEngine engine(std::move(g), opts);
+  engine.SetSource("Src", [&](std::uint32_t) {
+    return std::make_unique<OneRecordThenIdleSource>(&arrived, sources, give_up,
+                                                     &arrived_before_end);
+  });
+  if (has_mid) engine.SetUdf("A", [](std::uint32_t) { return std::make_unique<Forward>(); });
+  engine.SetUdf("Snk", [&](std::uint32_t) { return std::make_unique<CountArrivals>(&arrived); });
+  IdleRun run;
+  run.result = engine.Run(FromSeconds(30));
+  run.arrived_before_end = arrived_before_end.load();
+  return run;
+}
+
+JobGraph SourceToSink(std::uint32_t sources) {
+  JobGraph g;
+  const auto src = g.AddVertex(
+      {.name = "Src", .parallelism = sources, .max_parallelism = sources});
+  const auto snk = g.AddVertex({.name = "Snk", .parallelism = 1, .max_parallelism = 1});
+  g.Connect(src, snk, WiringPattern::kRoundRobin);
+  return g;
+}
+
+void ExpectExactAccounting(const EngineResult& result, std::uint64_t records) {
+  EXPECT_TRUE(result.clean()) << result.first_failure();
+  EXPECT_EQ(result.records_emitted, records);
+  EXPECT_EQ(result.records_delivered, records);
+  EXPECT_EQ(result.records_shed, 0u);
+  EXPECT_EQ(result.records_redelivered, 0u);
+}
+
+// Every record reached the sink while its source still ran, and well inside
+// a second of its emission -- not after a 10 s deadline or the source's
+// 2 s give-up.
+void ExpectShippedOnIdle(const IdleRun& run, std::uint64_t records) {
+  ExpectExactAccounting(run.result, records);
+  EXPECT_TRUE(run.arrived_before_end);
+  ASSERT_EQ(run.result.latency.count(), records);
+  EXPECT_LT(run.result.latency.Quantile(1.0), 1.0);
+}
+
+TEST(LocalEngineIdleFlush, ShipsALoneRecordOverSpsc) {
+  LocalEngineOptions opts;
+  opts.chaining = false;
+  const IdleRun run = RunOneRecordPerSource(SourceToSink(1), opts, 1, milliseconds(2000));
+  ExpectShippedOnIdle(run, 1);
+}
+
+TEST(LocalEngineIdleFlush, ShipsLoneRecordsOverFaninLanes) {
+  LocalEngineOptions opts;
+  const IdleRun run = RunOneRecordPerSource(SourceToSink(2), opts, 2, milliseconds(2000));
+  ExpectShippedOnIdle(run, 2);
+}
+
+TEST(LocalEngineIdleFlush, ShipsALoneRecordOverBoundedQueue) {
+  LocalEngineOptions opts;
+  opts.spsc_channels = false;
+  opts.fanin_lanes = false;
+  const IdleRun run = RunOneRecordPerSource(SourceToSink(1), opts, 1, milliseconds(2000));
+  ExpectShippedOnIdle(run, 1);
+}
+
+TEST(LocalEngineIdleFlush, TaskSideTriggerShipsThroughAnUnchainedHop) {
+  // Src -> A -> Snk with chaining off: the A -> Snk buffer is filled by A's
+  // task loop, so only the check after each popped batch can ship it.
+  JobGraph g;
+  const auto src = g.AddVertex({.name = "Src", .parallelism = 1, .max_parallelism = 1});
+  const auto a = g.AddVertex({.name = "A", .parallelism = 1, .max_parallelism = 1});
+  const auto snk = g.AddVertex({.name = "Snk", .parallelism = 1, .max_parallelism = 1});
+  g.Connect(src, a, WiringPattern::kPointwise);
+  g.Connect(a, snk, WiringPattern::kPointwise);
+  LocalEngineOptions opts;
+  opts.chaining = false;
+  const IdleRun run = RunOneRecordPerSource(std::move(g), opts, 1, milliseconds(2000));
+  ExpectShippedOnIdle(run, 1);
+}
+
+TEST(LocalEngineIdleFlush, FixedBufferHoldsTheRecordUntilEndOfStream) {
+  // kFixedBuffer keeps its paper meaning: a partial buffer waits for the
+  // batch to fill or for end of stream, however idle its consumer is.
+  LocalEngineOptions opts;
+  opts.shipping = ShippingStrategy::kFixedBuffer;
+  opts.chaining = false;
+  const IdleRun run = RunOneRecordPerSource(SourceToSink(1), opts, 1, milliseconds(300));
+  ExpectExactAccounting(run.result, 1);
+  EXPECT_FALSE(run.arrived_before_end);
+  ASSERT_EQ(run.result.latency.count(), 1u);
+  EXPECT_GE(run.result.latency.Quantile(1.0), 0.25);
 }
 
 // ---------------------------------------------------- allocation regression
