@@ -2,7 +2,7 @@
 //
 // Drives a 1-source / 1-map / 1-sink pipeline with trivial UDFs at full
 // blast, so the measured records/sec is dominated by the runtime's
-// per-record overhead (queue locking, wakeups, metric updates) rather than
+// per-record overhead (queue hops, wakeups, metric updates) rather than
 // user code.  One row per shipping strategy; `--tsv` additionally writes
 // micro_engine.tsv next to the binary.  EXPERIMENTS.md records the
 // baseline (pre-batching) vs. optimized numbers.
@@ -18,24 +18,21 @@
 // The allocs/rec column reports heap allocations per delivered record over
 // the engine run (requires a -DESP_COUNT_ALLOCS=ON build, "n/a" otherwise).
 //
-// Chaining / channel rows: the three base rows (instant/fixed/adaptive) run
-// with task chaining and the SPSC ring DISABLED so they stay comparable with
-// the historical baselines; the extra rows measure the fast paths --
-// "adaptive+spsc" (lock-free single-producer input queues), "chained"
-// (Map->Snk fused onto one thread), and "chained+spsc" (both, the engine's
-// default configuration).  `--chaining on|off` / `--spsc on|off` override
-// the BASE rows, e.g. to measure recovery overhead under fusion.
+// Chaining rows: the three base rows (instant/fixed/adaptive) run with task
+// chaining DISABLED, so both hops go through the input queue (one SPSC
+// lane each, DESIGN.md §14); "chained" fuses Map->Snk onto one thread, the
+// engine's default configuration.  `--chaining on|off` overrides the BASE
+// rows, e.g. to measure recovery overhead under fusion.
 //
 // Fan-in rows: "fanin" runs N full-blast sources (default 8, `--fanin N`)
 // into a single sink so the multi-producer input path is measured, not just
-// the 1:1 pipeline.  These rows cap the output batch at 8 records: the row
-// exists to measure the fan-in edge's per-push synchronization (the cost
-// the §14 lanes remove), and 64-record producer batches would amortize
-// exactly that cost into the noise.  The default run also emits
-// "fanin/mpsc", the same topology with per-producer SPSC lanes disabled
-// (one shared locked BoundedQueue) -- the DESIGN.md §14 ablation.
-// `--no-lanes` instead makes the "fanin" row itself run laneless, for
-// same-named cross-run comparison.
+// the 1:1 pipeline; "fanin/1" is the same topology with ONE source, the
+// same-run reference the CI gate compares against.  N producers each own a
+// lane, so nothing serialises their pushes and "fanin" should keep pace
+// with "fanin/1"; a lock shared across lanes would not.  These rows cap the
+// output batch at 8 records: they exist to measure the edge's per-push
+// synchronization, and 64-record producer batches would amortize exactly
+// that cost into the noise.
 //
 // Overload mode: `--overload-burst` replaces the shipping rows with a
 // saturation scenario -- a full-blast source against a ~200 us/record map
@@ -47,7 +44,7 @@
 //
 // Usage: micro_engine [--records N] [--queue N] [--batch N] [--seed S]
 //                     [--payload-size 8|24|64] [--chaining on|off]
-//                     [--spsc on|off] [--fanin N] [--no-lanes]
+//                     [--fanin N]
 //                     [--fail-at N] [--policy P]
 //                     [--overload-burst] [--tsv] [--json]
 #include <algorithm>
@@ -225,7 +222,7 @@ struct FaultConfig {
 template <typename P>
 Row RunOnce(const char* name, ShippingStrategy shipping, int records,
             std::size_t queue_capacity, std::uint32_t batch_capacity,
-            const FaultConfig& fc, bool chaining, bool spsc) {
+            const FaultConfig& fc, bool chaining) {
   JobGraph g;
   const auto src = g.AddVertex({.name = "Src", .parallelism = 1, .max_parallelism = 1});
   const auto map = g.AddVertex({.name = "Map", .parallelism = 1, .max_parallelism = 1});
@@ -238,7 +235,6 @@ Row RunOnce(const char* name, ShippingStrategy shipping, int records,
   opts.queue_capacity = queue_capacity;
   opts.batch_capacity = batch_capacity;
   opts.chaining = chaining;
-  opts.spsc_channels = spsc;
 
   FaultInjector injector(fc.seed);
   if (fc.fail_at > 0) {
@@ -291,14 +287,13 @@ Row RunOnce(const char* name, ShippingStrategy shipping, int records,
 }
 
 // Fan-in topology: `fanin` full-blast sources feed ONE sink, so the sink's
-// input queue is the multi-producer edge the §14 lanes exist for.  With
-// `lanes` on, each source gets its own SPSC lane merged round-robin by the
-// sink; off is the ablation (one shared mutex-guarded BoundedQueue).  The
+// input queue is the multi-producer edge the §14 lanes exist for: each
+// source gets its own SPSC lane, merged round-robin by the sink.  The
 // record budget is split evenly across sources (remainder on subtask 0) so
 // the delivered total stays `records` and exactness still closes.
 template <typename P>
 Row RunFanin(const char* name, int records, std::size_t queue_capacity,
-             std::uint32_t batch_capacity, int fanin, bool lanes) {
+             std::uint32_t batch_capacity, int fanin) {
   JobGraph g;
   const auto src = g.AddVertex(
       {.name = "Src", .parallelism = static_cast<std::uint32_t>(fanin),
@@ -310,9 +305,7 @@ Row RunFanin(const char* name, int records, std::size_t queue_capacity,
   opts.shipping = esp::ShippingStrategy::kAdaptive;
   opts.queue_capacity = queue_capacity;
   opts.batch_capacity = batch_capacity;
-  opts.chaining = false;  // nothing to fuse: every edge here is fan-in > 1
-  opts.spsc_channels = false;
-  opts.fanin_lanes = lanes;
+  opts.chaining = false;  // nothing to fuse: the only edge leaves a source
 
   const int per_source = records / fanin;
   const int remainder = records % fanin;
@@ -414,35 +407,29 @@ Row RunOverloadBurst(const char* name, int records, std::uint32_t batch_capacity
   return row;
 }
 
-// Runs the three shipping strategies (base rows, chaining/spsc as given)
-// plus the fast-path comparison rows on the adaptive strategy and the
-// fan-in rows (lanes vs. the `--no-lanes` / "fanin/mpsc" ablation).
+// Runs the three shipping strategies (base rows, chaining as given), the
+// fused-chain row on the adaptive strategy, and the fan-in rows ("fanin"
+// plus its 1-source reference "fanin/1").
 template <typename P>
 std::vector<Row> RunAll(int records, int queue, int batch, const FaultConfig& fc,
-                        bool chaining, bool spsc, int fanin, bool no_lanes) {
+                        bool chaining, int fanin) {
   const auto q = static_cast<std::size_t>(queue);
   const auto b = static_cast<std::uint32_t>(batch);
   std::vector<Row> rows;
   rows.push_back(RunOnce<P>("instant", esp::ShippingStrategy::kInstantFlush, records,
-                            q, b, fc, chaining, spsc));
+                            q, b, fc, chaining));
   rows.push_back(RunOnce<P>("fixed", esp::ShippingStrategy::kFixedBuffer, records,
-                            q, b, fc, chaining, spsc));
+                            q, b, fc, chaining));
   rows.push_back(RunOnce<P>("adaptive", esp::ShippingStrategy::kAdaptive, records,
-                            q, b, fc, chaining, spsc));
-  rows.push_back(RunOnce<P>("adaptive+spsc", esp::ShippingStrategy::kAdaptive,
-                            records, q, b, fc, /*chaining=*/false, /*spsc=*/true));
+                            q, b, fc, chaining));
   rows.push_back(RunOnce<P>("chained", esp::ShippingStrategy::kAdaptive, records, q,
-                            b, fc, /*chaining=*/true, /*spsc=*/false));
-  rows.push_back(RunOnce<P>("chained+spsc", esp::ShippingStrategy::kAdaptive,
-                            records, q, b, fc, /*chaining=*/true, /*spsc=*/true));
-  // Small batches by design: the fan-in row measures the edge's per-push
+                            b, fc, /*chaining=*/true));
+  // Small batches by design: the fan-in rows measure the edge's per-push
   // synchronization, which large batches would amortize away (see header).
   const auto fb = std::min<std::uint32_t>(b, 8);
-  rows.push_back(RunFanin<P>("fanin", records, q, fb, fanin, /*lanes=*/!no_lanes));
-  if (!no_lanes) {
-    // Same-run ablation so a single --json artifact carries the comparison.
-    rows.push_back(RunFanin<P>("fanin/mpsc", records, q, fb, fanin, /*lanes=*/false));
-  }
+  rows.push_back(RunFanin<P>("fanin", records, q, fb, fanin));
+  // Same-run reference so a single --json artifact carries the comparison.
+  rows.push_back(RunFanin<P>("fanin/1", records, q, fb, 1));
   return rows;
 }
 
@@ -465,12 +452,10 @@ static int Run(int argc, char** argv) {
   fc.fail_at = ArgInt(argc, argv, "--fail-at", 0);
   fc.policy = ParsePolicy(ArgStr(argc, argv, "--policy", "restart-task"));
 
-  // Base rows default to the historical (no-fusion, MPSC) configuration so
-  // they stay comparable across releases; the engine itself defaults to on.
+  // Base rows default to no fusion so both hops stay queue hops and the
+  // rows stay comparable across releases; the engine itself defaults to on.
   const bool chaining = std::strcmp(ArgStr(argc, argv, "--chaining", "off"), "on") == 0;
-  const bool spsc = std::strcmp(ArgStr(argc, argv, "--spsc", "off"), "on") == 0;
   const int fanin = ArgInt(argc, argv, "--fanin", 8);
-  const bool no_lanes = HasFlag(argc, argv, "--no-lanes");
   if (fanin < 1) {
     std::fprintf(stderr, "--fanin must be >= 1 (got %d)\n", fanin);
     return 2;
@@ -478,11 +463,10 @@ static int Run(int argc, char** argv) {
 
   Section("micro_engine: 1-source/1-map/1-sink, trivial UDFs, full blast");
   std::printf("records=%d queue_capacity=%d batch_capacity=%d payload_size=%d (%s) "
-              "seed=%llu base_chaining=%s base_spsc=%s fanin=%d lanes=%s\n",
+              "seed=%llu base_chaining=%s fanin=%d\n",
               records, queue, batch, payload_size,
               payload_size <= 24 ? "inline" : "boxed",
-              static_cast<unsigned long long>(fc.seed), chaining ? "on" : "off",
-              spsc ? "on" : "off", fanin, no_lanes ? "off" : "on");
+              static_cast<unsigned long long>(fc.seed), chaining ? "on" : "off", fanin);
   if (fc.fail_at > 0) {
     std::printf("fault: Map[0] throws at record %d, policy=%s\n", fc.fail_at,
                 ArgStr(argc, argv, "--policy", "restart-task"));
@@ -496,7 +480,7 @@ static int Run(int argc, char** argv) {
       rows.push_back(RunOverloadBurst<P>("burst/guard-off", records, b, false));
       rows.push_back(RunOverloadBurst<P>("burst/guard-on", records, b, true));
     } else {
-      rows = RunAll<P>(records, queue, batch, fc, chaining, spsc, fanin, no_lanes);
+      rows = RunAll<P>(records, queue, batch, fc, chaining, fanin);
     }
   };
   switch (payload_size) {

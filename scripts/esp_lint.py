@@ -33,10 +33,10 @@ unbounded-queue      Runtime code (src/runtime/) must not build unbounded
                      FIFOs (std::deque / std::queue / std::list as a channel).
                      Backpressure is load-bearing: the paper's latency model
                      assumes bounded buffers.
-hot-path-alloc       The per-record hot path (src/runtime/record.h, queue.h,
-                     spsc_queue.h, chain.h) must not introduce heap
-                     allocation: no operator new, std::make_shared /
-                     std::make_unique.  The zero-alloc steady state is a
+hot-path-alloc       The per-record hot path (src/runtime/record.h,
+                     spsc_queue.h, chain.h, claim.h, fanin_lanes.h) must
+                     not introduce heap allocation: no operator new,
+                     std::make_shared / std::make_unique.  The zero-alloc steady state is a
                      measured invariant (AllocCounting tests); the single
                      sanctioned boxing path carries an explicit allow.
 bare-nolint          Every NOLINT marker must carry a specific check name and
@@ -123,7 +123,6 @@ UNBOUNDED_QUEUE_RE = re.compile(r"std::(deque|queue|list)\s*<")
 HOT_PATH_ALLOC_RE = re.compile(r"std::make_(shared|unique)\s*<|\bnew\s+[A-Za-z_:]")
 HOT_PATH_FILES = {
     Path("src/runtime/record.h"),
-    Path("src/runtime/queue.h"),
     Path("src/runtime/spsc_queue.h"),
     Path("src/runtime/chain.h"),
     Path("src/runtime/claim.h"),
@@ -911,7 +910,7 @@ def run_line_rules(rel: Path, text: str, report: Report) -> None:
         if in_runtime and UNBOUNDED_QUEUE_RE.search(code):
             report.add(rel, lineno, "unbounded-queue",
                        "unbounded FIFO in runtime code; channels must be "
-                       "bounded (BoundedQueue) for backpressure")
+                       "bounded for backpressure")
 
         if rel in HOT_PATH_FILES and HOT_PATH_ALLOC_RE.search(code):
             report.add(rel, lineno, "hot-path-alloc",

@@ -79,31 +79,6 @@ double Rng::LogNormalMeanCv(double mean, double cv) {
   return std::exp(Normal(mu, std::sqrt(sigma2)));
 }
 
-double Rng::Gamma(double shape, double scale) {
-  if (shape <= 0 || scale <= 0) throw std::invalid_argument("Gamma: parameters must be > 0");
-  if (shape < 1.0) {
-    // Boost to shape >= 1 (Marsaglia-Tsang trick).
-    const double u = NextDouble();
-    return Gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x;
-    double v;
-    do {
-      x = Normal(0.0, 1.0);
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = NextDouble();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v * scale;
-    }
-  }
-}
-
 bool Rng::Bernoulli(double p) noexcept ESP_NONBLOCKING {
   // Degenerate probabilities short-circuit without advancing the stream:
   // NextDouble() is in [0, 1), so the outcome is already determined, and the

@@ -50,9 +50,6 @@ class Rng {
   /// normal).  Useful for service times with a prescribed c_S.
   double LogNormalMeanCv(double mean, double cv);
 
-  /// Gamma variate with shape k and scale theta (Marsaglia-Tsang).
-  double Gamma(double shape, double scale);
-
   /// Returns true with probability p.  Degenerate probabilities (p <= 0,
   /// p >= 1) are answered without consuming generator state.
   bool Bernoulli(double p) noexcept ESP_NONBLOCKING;

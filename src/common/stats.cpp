@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace esp {
 
@@ -43,27 +42,6 @@ double RunningStats::Cv() const {
 StatsSnapshot Snapshot(const RunningStats& stats) {
   return StatsSnapshot{stats.count(), stats.Mean(), stats.Variance(),
                        stats.Cv(),    stats.Min(),  stats.Max()};
-}
-
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  if (alpha <= 0.0 || alpha > 1.0) {
-    throw std::invalid_argument("Ewma: alpha must be in (0, 1]");
-  }
-}
-
-double Ewma::Add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-  return value_;
-}
-
-void Ewma::Reset() {
-  value_ = 0.0;
-  initialized_ = false;
 }
 
 }  // namespace esp

@@ -78,27 +78,4 @@ struct StatsSnapshot {
 /// Captures the current state of `stats` as a value type.
 StatsSnapshot Snapshot(const RunningStats& stats);
 
-/// Exponentially weighted moving average; used to smooth noisy per-interval
-/// metrics before they are fed into the latency model.
-class Ewma {
- public:
-  /// `alpha` is the weight of the newest observation, in (0, 1].
-  explicit Ewma(double alpha);
-
-  /// Folds in a new observation and returns the updated average.
-  double Add(double x);
-
-  /// Current value; 0 before the first observation.
-  double Value() const { return value_; }
-
-  bool HasValue() const { return initialized_; }
-
-  void Reset();
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
 }  // namespace esp

@@ -25,11 +25,4 @@ std::uint64_t ZipfSampler::Sample(Rng& rng) const {
   return static_cast<std::uint64_t>(it - cdf_.begin()) + 1;
 }
 
-double ZipfSampler::Pmf(std::uint64_t rank) const {
-  if (rank == 0 || rank > cdf_.size()) return 0.0;
-  const double hi = cdf_[rank - 1];
-  const double lo = rank == 1 ? 0.0 : cdf_[rank - 2];
-  return hi - lo;
-}
-
 }  // namespace esp

@@ -21,9 +21,6 @@ class ZipfSampler {
   /// Draws one rank in [1, n] using the supplied generator.
   std::uint64_t Sample(Rng& rng) const;
 
-  /// Probability mass of a given rank (1-based).
-  double Pmf(std::uint64_t rank) const;
-
   std::uint64_t n() const { return static_cast<std::uint64_t>(cdf_.size()); }
 
  private:

@@ -1,7 +1,6 @@
 #include "core/batching.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 namespace esp {
@@ -9,7 +8,6 @@ namespace esp {
 FlushDeadlines ComputeFlushDeadlines(const JobGraph& graph,
                                      const std::vector<LatencyConstraint>& constraints,
                                      const GlobalSummary& summary,
-                                     const FlushDeadlines& previous,
                                      const BatchingPolicyOptions& options,
                                      const std::vector<std::uint32_t>& fused_edges) {
   FlushDeadlines deadlines;
@@ -41,27 +39,8 @@ FlushDeadlines ComputeFlushDeadlines(const JobGraph& graph,
 
     for (JobEdgeId e : edges) {
       if (fused.count(Value(e)) != 0) continue;
-      SimDuration next = share_deadline;
-
-      // Feedback: deadline is a cap on the first item's wait; the realised
-      // mean depends on per-channel rates.  Steer the measured mean toward
-      // the share.
-      const auto prev_it = previous.find(Value(e));
-      if (options.feedback_gain > 0 && prev_it != previous.end() && summary.HasEdge(e)) {
-        const double measured = summary.edge(e).output_batch_latency;
-        if (measured > 1e-9 && share > 0) {
-          const double prev = ToSeconds(prev_it->second);
-          double suggested = prev * share / measured;
-          suggested = std::clamp(suggested, ToSeconds(options.min_deadline),
-                                 share * options.max_deadline_share_factor);
-          // Geometric damping between the previous and suggested values.
-          const double damped = prev * std::pow(suggested / prev, options.feedback_gain);
-          next = std::max(options.min_deadline, FromSeconds(damped));
-        }
-      }
-
-      auto [it, inserted] = deadlines.emplace(Value(e), next);
-      if (!inserted) it->second = std::min(it->second, next);
+      auto [it, inserted] = deadlines.emplace(Value(e), share_deadline);
+      if (!inserted) it->second = std::min(it->second, share_deadline);
     }
   }
 

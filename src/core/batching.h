@@ -47,16 +47,6 @@ struct BatchingPolicyOptions {
   /// FULL deadline, so an undiscounted share makes the mean batching delay
   /// consume the entire 80 % budget and the sequence mean rides its bound.
   double deadline_safety_factor = 0.75;
-
-  /// Optional closed-loop correction: nudge the deadline so the MEASURED
-  /// mean batch wait tracks the discounted share (0 = open loop, default;
-  /// 1 = jump straight to the suggestion).  With noisy 5 s summaries the
-  /// loop tends to oscillate, so it is off by default and exists for the
-  /// ablation bench.
-  double feedback_gain = 0.0;
-
-  /// Upper clamp for the feedback, as a multiple of the budget share.
-  double max_deadline_share_factor = 3.0;
 };
 
 /// Computes flush deadlines for every edge covered by a constraint.  The
@@ -67,10 +57,6 @@ struct BatchingPolicyOptions {
 /// latencies (job just started), task latencies are assumed 0, yielding
 /// conservative (small) deadlines that only grow as data arrives.
 ///
-/// `previous` carries the deadlines chosen last interval; together with the
-/// measured obl_je it closes the feedback loop (feedback_gain), so the
-/// measured mean batch wait converges to the budget share.
-///
 /// `fused_edges` lists edges (raw JobEdgeId values) currently eliminated by
 /// task chaining: a fused edge ships synchronously inside one thread, so it
 /// has no output buffer to assign a deadline to AND it should not dilute the
@@ -79,7 +65,6 @@ struct BatchingPolicyOptions {
 FlushDeadlines ComputeFlushDeadlines(const JobGraph& graph,
                                      const std::vector<LatencyConstraint>& constraints,
                                      const GlobalSummary& summary,
-                                     const FlushDeadlines& previous = {},
                                      const BatchingPolicyOptions& options = {},
                                      const std::vector<std::uint32_t>& fused_edges = {});
 

@@ -40,10 +40,6 @@ double VertexModel::Delta(std::uint32_t p) const {
   return w1 - w0;
 }
 
-double VertexModel::UtilizationAt(std::uint32_t p_star) const {
-  return p_star == 0 ? kInf : b / static_cast<double>(p_star);
-}
-
 std::optional<std::uint32_t> VertexModel::MinParallelismForWait(double w) const {
   if (w <= 0.0) return std::nullopt;
   if (a <= 0.0) return MinStableParallelism(b);
@@ -151,26 +147,11 @@ double LatencyModel::TotalWait(const std::vector<std::uint32_t>& p) const {
   return total;
 }
 
-double LatencyModel::WaitAtMaxParallelism() const {
-  std::vector<std::uint32_t> p;
-  p.reserve(vertices_.size());
-  for (const VertexModel& v : vertices_) p.push_back(v.p_max);
-  return TotalWait(p);
-}
-
 bool LatencyModel::HasBottleneck() const {
   for (const VertexModel& v : vertices_) {
     if (v.utilization >= options_.bottleneck_utilization) return true;
   }
   return false;
-}
-
-std::vector<JobVertexId> LatencyModel::Bottlenecks() const {
-  std::vector<JobVertexId> out;
-  for (const VertexModel& v : vertices_) {
-    if (v.utilization >= options_.bottleneck_utilization) out.push_back(v.id);
-  }
-  return out;
 }
 
 }  // namespace esp

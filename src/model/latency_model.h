@@ -72,9 +72,6 @@ struct VertexModel {
   /// Wait(p + 1) - Wait(p): the (negative) improvement from one more task.
   double Delta(std::uint32_t p) const;
 
-  /// Predicted utilization at parallelism p_star (= b / p_star).
-  double UtilizationAt(std::uint32_t p_star) const;
-
   /// Smallest parallelism with Wait(p) <= w (paper's P_W); p_max bounds are
   /// NOT applied here.  Returns nullopt when w <= 0 or no finite p works.
   std::optional<std::uint32_t> MinParallelismForWait(double w) const;
@@ -103,17 +100,10 @@ class LatencyModel {
   /// vertices()); +infinity if any vertex is saturated at its entry.
   double TotalWait(const std::vector<std::uint32_t>& p) const;
 
-  /// Total predicted wait when every vertex runs at maximum parallelism;
-  /// used by Rebalance's feasibility test.
-  double WaitAtMaxParallelism() const;
-
   /// True when any vertex's measured utilization is at or above the
   /// bottleneck threshold (the model's Kingman inputs are then unusable,
   /// paper §IV-E).
   bool HasBottleneck() const;
-
-  /// Vertices at or above the bottleneck utilization threshold.
-  std::vector<JobVertexId> Bottlenecks() const;
 
   const LatencyModelOptions& options() const { return options_; }
 

@@ -39,7 +39,6 @@ class QosReporter {
   void RemoveTask(const TaskId& task);
   void RemoveChannel(const ChannelId& channel);
 
-  bool HasTask(const TaskId& task) const { return tasks_.count(task) != 0; }
   bool HasChannel(const ChannelId& channel) const { return channels_.count(channel) != 0; }
 
   TaskSampler& task_sampler(const TaskId& task);

@@ -13,7 +13,6 @@
 #include "runtime/chain.h"
 #include "runtime/claim.h"
 #include "runtime/fanin_lanes.h"
-#include "runtime/spsc_queue.h"
 
 namespace esp::runtime {
 
@@ -60,9 +59,8 @@ struct LocalEngine::Channel {
   /// edge's Table-I metrics (zero latency, true item count) so the latency
   /// model never sees a hole in a constrained sequence.
   bool chained = false;
-  /// This producer's lane index in the consumer's FaninLanes array (0 when
-  /// the consumer has no lanes).  Assigned at epoch build, read by
-  /// DeliverBatch on every flush.
+  /// This producer's lane index in the consumer's input queue.  Assigned at
+  /// epoch build, read by DeliverBatch on every flush.
   std::uint32_t lane = 0;
 
   // Producer-owned staging (DESIGN.md §14): `buffer`/`spare` are touched
@@ -77,7 +75,7 @@ struct LocalEngine::Channel {
   std::vector<Envelope> buffer;
   // Recycled batch storage: when a flush swaps `buffer` out, `spare` (the
   // empty-but-with-capacity vector DeliverBatch got back from the consumer
-  // queue's chunk pool on the previous flush) swaps in, so the next Append
+  // lane's ring slot on the previous flush) swaps in, so the next Append
   // starts with capacity instead of allocating.
   std::vector<Envelope> spare;
 
@@ -104,71 +102,12 @@ struct LocalEngine::LocalTask {
 
   std::unique_ptr<Udf> udf;
   std::unique_ptr<SourceFunction> source;
-  // Input queue, selected per epoch (BuildEpoch): the lock-free SPSC ring
-  // when exactly one producer task feeds this task, per-producer SPSC
-  // fan-in lanes when more than one does (DESIGN.md §14), the mutex-guarded
-  // MPSC queue otherwise (fast paths disabled, or the no-producer corner).
-  // All null for sources and for fused chain members.
-  std::unique_ptr<BoundedQueue<Envelope>> queue;
-  std::unique_ptr<SpscQueue<Envelope>> spsc;
-  std::unique_ptr<FaninLanes<Envelope>> lanes;
+  // Input queue (BuildEpoch): one SPSC lane per producer task feeding this
+  // task over real (non-fused) channels, merged on the consumer side
+  // (fanin_lanes.h, DESIGN.md §14).  Null for sources and for fused chain
+  // members.
+  std::unique_ptr<FaninLanes<Envelope>> queue;
   std::thread thread;
-
-  // Queue dispatch: every engine path goes through these so the three
-  // specialisations stay behaviourally interchangeable (same blocking,
-  // close, salvage and mark_busy contracts).  `lane` routes a push to the
-  // producer's own lane and is ignored by the single-queue shapes.
-  bool HasQueue() const {
-    return queue != nullptr || spsc != nullptr || lanes != nullptr;
-  }
-  bool QueuePush(std::vector<Envelope>& batch, std::uint32_t lane = 0) {
-    return lanes ? lanes->PushAll(lane, batch)
-           : spsc ? spsc->PushAll(batch)
-                  : queue->PushAll(batch);
-  }
-  std::size_t QueuePop(std::size_t max_items, std::chrono::nanoseconds timeout,
-                       std::vector<Envelope>& out, std::atomic<bool>* mark_busy) {
-    return lanes ? lanes->PopBatchFor(max_items, timeout, out, mark_busy)
-           : spsc ? spsc->PopBatchFor(max_items, timeout, out, mark_busy)
-                  : queue->PopBatchFor(max_items, timeout, out, mark_busy);
-  }
-  void QueueClose() {
-    if (lanes) {
-      lanes->Close();
-    } else if (spsc) {
-      spsc->Close();
-    } else if (queue) {
-      queue->Close();
-    }
-  }
-  bool QueueClosed() const {
-    return lanes ? lanes->closed() : spsc ? spsc->closed() : queue->closed();
-  }
-  bool QueueEmpty() const {
-    return lanes ? lanes->Empty() : spsc ? spsc->Empty() : queue->Empty();
-  }
-  std::size_t QueueSize() const {
-    return lanes ? lanes->size() : spsc ? spsc->size() : queue->size();
-  }
-  /// The consumer sleeps on its empty queue and no push has claimed its
-  /// wake yet: the flush-on-idle trigger (DESIGN.md §14).
-  bool QueueConsumerParked() const {
-    return lanes ? lanes->consumer_parked()
-           : spsc ? spsc->consumer_parked()
-                  : queue->consumer_parked();
-  }
-  std::vector<Envelope> QueueDrainAll() {
-    return lanes ? lanes->DrainAll() : spsc ? spsc->DrainAll() : queue->DrainAll();
-  }
-  void QueuePushFront(std::vector<Envelope>&& items) {
-    if (lanes) {
-      lanes->PushFront(std::move(items));
-    } else if (spsc) {
-      spsc->PushFront(std::move(items));
-    } else {
-      queue->PushFront(std::move(items));
-    }
-  }
 
   std::vector<std::vector<Channel*>> outputs;  // per output edge, per epoch
   std::vector<WiringPattern> out_pattern;      // cached edge patterns, per slot
@@ -220,7 +159,7 @@ struct LocalEngine::LocalTask {
   // task thread checks it before every queue pop (and inside the injected
   // wedge loop) and exits WITHOUT touching the queue once raised -- that is
   // what lets the control thread account the stranded backlog race-free
-  // against the lock-free SPSC ring.  Producers read it to attribute drops
+  // against the lock-free lanes.  Producers read it to attribute drops
   // at the closed queue.
   std::atomic<bool> quarantined{false};
   // Progress heartbeat: engine-time ns of the last queue-pop return,
@@ -470,7 +409,7 @@ void LocalEngine::FlushChannel(Channel& channel, bool force,
     if (options_.shipping != ShippingStrategy::kAdaptive) return;
     const std::int64_t fe = channel.first_entry_ns.load(std::memory_order_relaxed);
     if (fe == 0) return;
-    if (!channel.consumer->QueueConsumerParked() &&
+    if (!channel.consumer->queue->consumer_parked() &&
         (now_hint != 0 ? now_hint : NowNs()) - fe <
             channel.flush_deadline.load(std::memory_order_relaxed)) {
       return;
@@ -532,8 +471,8 @@ void LocalEngine::DeliverBatch(Channel& channel, std::vector<Envelope>& batch) {
   if (delay != nullptr && delay->TryConsume()) {
     std::this_thread::sleep_for(nanoseconds(delay->duration));
   }
-  // Blocking push: this is the backpressure path.  The lvalue overload
-  // recharges `batch` from the consumer queue's spent-chunk pool; park that
+  // Blocking push: this is the backpressure path.  The push recharges
+  // `batch` with the capacity the lane's ring slot held; park that
   // capacity in the channel's spare buffer so the next flush cycle reuses
   // it.  (The spare may legitimately be occupied -- e.g. a control-thread
   // force-flush raced a task-thread flush -- then the chunk is just freed.)
@@ -543,7 +482,7 @@ void LocalEngine::DeliverBatch(Channel& channel, std::vector<Envelope>& batch) {
   // working as designed -- account it as shed against the wedged vertex.
   // Either way the batch must be emptied here: parking a still-full batch
   // as the spare would re-deliver the dropped records on a later flush.
-  if (!channel.consumer->QueuePush(batch, channel.lane)) {
+  if (!channel.consumer->queue->PushAll(channel.lane, batch)) {
     LocalTask* blame =
         channel.consumer->quarantined.load(std::memory_order_seq_cst)
             ? channel.consumer
@@ -789,7 +728,7 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
     // never observes "queue empty + idle" while records are in hand; it
     // stays raised until the whole batch is processed.
     const std::size_t n =
-        task->QueuePop(kPopBatch, nanoseconds(1'000'000), batch, &task->busy);
+        task->queue->PopBatchFor(kPopBatch, nanoseconds(1'000'000), batch, &task->busy);
     const std::int64_t now = NowNs();
     // Watchdog heartbeat: the 1 ms pop timeout bounds the stamp interval, so
     // a stale heartbeat means the loop is stuck, not merely idle.
@@ -831,7 +770,7 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
     if (n == 0) {
       FlushDue(task, now);
       if (timer_fired) task->busy.store(false);
-      if (task->QueueClosed() && task->QueueEmpty()) break;
+      if (task->queue->closed() && task->queue->Empty()) break;
       continue;
     }
 
@@ -1021,7 +960,7 @@ void LocalEngine::CloseDownstream(LocalTask* task) {
   for (auto& per_edge : task->outputs) {
     for (Channel* ch : per_edge) {
       if (ch->consumer->remaining_producers.fetch_sub(1) == 1) {
-        ch->consumer->QueueClose();
+        ch->consumer->queue->Close();
       }
     }
   }
@@ -1031,7 +970,7 @@ void LocalEngine::CloseDownstream(LocalTask* task) {
     for (auto& per_edge : m->outputs) {
       for (Channel* ch : per_edge) {
         if (ch->consumer->remaining_producers.fetch_sub(1) == 1) {
-          ch->consumer->QueueClose();
+          ch->consumer->queue->Close();
         }
       }
     }
@@ -1118,8 +1057,8 @@ void LocalEngine::BuildEpoch() {
           }
           task->udf = it->second(tid.subtask);
           task->latency_mode = task->udf->latency_mode();
-          // Input queue selection is deferred: fused members get none, and
-          // the SPSC/MPSC choice needs the wiring pass's fan-in counts.
+          // Input queues are built after wiring: fused members get none,
+          // and the lane count needs the wiring pass's fan-in counts.
         }
         if (options_.fault_injector != nullptr) {
           task->fault = options_.fault_injector->Resolve(jv.name, tid.subtask);
@@ -1182,14 +1121,14 @@ void LocalEngine::BuildEpoch() {
     }
   }
 
-  // Input-queue selection: a consumer fed by exactly one producer TASK over
-  // its real (non-fused) channels gets the lock-free SPSC ring; fan-in > 1
-  // gets one SPSC lane PER PRODUCER merged on the consumer side
-  // (fanin_lanes.h, DESIGN.md §14); the mutex-guarded MPSC queue remains
-  // for disabled fast paths and the no-producer corner.  Fused members get
-  // no queue at all.  The per-consumer producer list is kept in channel
-  // ITERATION order (deterministic, first-channel-wins) because its indices
-  // become the lane assignment below.
+  // Input queues: every task that is neither a source nor a fused chain
+  // member gets one SPSC lane PER PRODUCER TASK feeding it over real
+  // (non-fused) channels, merged on the consumer side (fanin_lanes.h,
+  // DESIGN.md §14); one producer means one lane, the plain SPSC ring, and
+  // the no-producer corner still gets one lane for salvage re-admission.
+  // The per-consumer producer list is kept in channel ITERATION order
+  // (deterministic, first-channel-wins) because its indices become the
+  // lane assignment below.
   std::unordered_map<LocalTask*, std::vector<LocalTask*>> producers_of;
   for (auto& channel : channels_) {
     if (channel->chained) continue;
@@ -1203,21 +1142,15 @@ void LocalEngine::BuildEpoch() {
     if (task->is_source || task->chained) continue;
     const auto it = producers_of.find(task.get());
     const std::size_t fan_in = it == producers_of.end() ? 0 : it->second.size();
-    if (fan_in == 1 && options_.spsc_channels) {
-      task->spsc = std::make_unique<SpscQueue<Envelope>>(options_.queue_capacity);
-    } else if (fan_in > 1 && options_.fanin_lanes) {
-      task->lanes = std::make_unique<FaninLanes<Envelope>>(options_.queue_capacity,
-                                                           fan_in);
-    } else {
-      task->queue = std::make_unique<BoundedQueue<Envelope>>(options_.queue_capacity);
-    }
+    task->queue = std::make_unique<FaninLanes<Envelope>>(
+        options_.queue_capacity, std::max<std::size_t>(fan_in, 1));
   }
-  // Lane assignment: every channel into a laned consumer pushes to the lane
-  // of ITS producer task.  A lane is SPSC because one thread flushes all of
-  // a producer task's channels; two channels sharing (producer, consumer)
-  // share a lane, which that same single-flusher argument keeps safe.
+  // Lane assignment: every channel pushes to the lane of ITS producer task.
+  // A lane is SPSC because one thread flushes all of a producer task's
+  // channels; two channels sharing (producer, consumer) share a lane, which
+  // that same single-flusher argument keeps safe.
   for (auto& channel : channels_) {
-    if (channel->chained || channel->consumer->lanes == nullptr) continue;
+    if (channel->chained) continue;
     const auto& producers = producers_of[channel->consumer];
     channel->lane = static_cast<std::uint32_t>(
         std::find(producers.begin(), producers.end(), channel->producer) -
@@ -1260,7 +1193,9 @@ void LocalEngine::StartThreads() {
 // reported as a failure and left running so Run() can return on time; the
 // destructor joins it before the engine state it references is destroyed.
 void LocalEngine::TeardownEpoch() {
-  for (auto& task : tasks_) task->QueueClose();
+  for (auto& task : tasks_) {
+    if (task->queue != nullptr) task->queue->Close();
+  }
   const std::int64_t deadline = NowNs() + options_.recovery.teardown_timeout;
   for (;;) {
     bool pending = false;
@@ -1294,9 +1229,9 @@ void LocalEngine::TeardownEpoch() {
 // consumer).  Control thread only.
 void LocalEngine::PumpFailedTasks() {
   for (auto& task : tasks_) {
-    if (task->is_source || !task->HasQueue()) continue;
+    if (task->is_source || task->queue == nullptr) continue;
     if (!task->failed.load() || !task->done.load()) continue;
-    std::vector<Envelope> drained = task->QueueDrainAll();
+    std::vector<Envelope> drained = task->queue->DrainAll();
     if (drained.empty()) continue;
     task->salvage.insert(task->salvage.end(), std::make_move_iterator(drained.begin()),
                          std::make_move_iterator(drained.end()));
@@ -1323,7 +1258,7 @@ void LocalEngine::ReadmitSalvage() {
         break;
       }
     }
-    if (target == nullptr || !target->HasQueue()) continue;
+    if (target == nullptr || target->queue == nullptr) continue;
     std::uint32_t in_channel = 0;
     for (auto& channel : channels_) {
       if (channel->chained) continue;  // metrics-only, feeds no queue
@@ -1334,7 +1269,7 @@ void LocalEngine::ReadmitSalvage() {
     }
     for (Envelope& env : records) env.channel = in_channel;
     result_.records_redelivered += records.size();
-    target->QueuePushFront(std::move(records));
+    target->queue->PushFront(std::move(records));
   }
   salvage_.clear();
 }
@@ -1394,7 +1329,7 @@ bool LocalEngine::RebuildEpoch(const std::vector<ScalingAction>& actions,
       // Read the queue before the busy flag: busy is raised (published)
       // before a pop's items leave, so "empty then not busy" (in that
       // order) can never observe an in-flight record.
-      if (!task->QueueEmpty() || task->busy.load()) return false;
+      if (!task->queue->Empty() || task->busy.load()) return false;
     }
     for (auto& channel : channels_) {
       // Channels into the wedged task are flushed after joins; channels OUT
@@ -1430,7 +1365,7 @@ bool LocalEngine::RebuildEpoch(const std::vector<ScalingAction>& actions,
   // 3. Stop and join the non-source task threads, then bank their metric
   // shards -- BuildEpoch is about to destroy those tasks.
   for (auto& task : tasks_) {
-    if (!task->is_source) task->QueueClose();
+    if (task->queue != nullptr) task->queue->Close();
   }
   for (auto& task : tasks_) {
     if (task.get() == quarantined) continue;  // unjoinable until its wedge ends
@@ -1451,7 +1386,7 @@ bool LocalEngine::RebuildEpoch(const std::vector<ScalingAction>& actions,
     for (auto& channel : channels_) {
       if (channel->consumer == quarantined) FlushChannel(*channel, /*force=*/true);
     }
-    quarantined->shed_n.fetch_add(quarantined->QueueSize(),
+    quarantined->shed_n.fetch_add(quarantined->queue->size(),
                                   std::memory_order_relaxed);
     const auto shed_outputs = [](LocalTask* t) {
       for (auto& per_edge : t->outputs) {
@@ -1482,11 +1417,11 @@ bool LocalEngine::RebuildEpoch(const std::vector<ScalingAction>& actions,
   // the restart for them -- and count the restarts.
   std::uint32_t recovered = 0;
   for (auto& task : tasks_) {
-    if (task->is_source || !task->HasQueue()) continue;
+    if (task->is_source || task->queue == nullptr) continue;
     if (task.get() == quarantined) continue;  // backlog already counted shed
     std::vector<Envelope> s = std::move(task->salvage);
     task->salvage.clear();
-    std::vector<Envelope> rest = task->QueueDrainAll();
+    std::vector<Envelope> rest = task->queue->DrainAll();
     s.insert(s.end(), std::make_move_iterator(rest.begin()),
              std::make_move_iterator(rest.end()));
     if (!s.empty()) salvage_.emplace_back(task->id, std::move(s));
@@ -1597,7 +1532,7 @@ bool LocalEngine::RestartTask(LocalTask* task) {
   if (task->thread.joinable()) task->thread.join();
   if (!task->salvage.empty()) {
     result_.records_redelivered += task->salvage.size();
-    task->QueuePushFront(std::move(task->salvage));
+    task->queue->PushFront(std::move(task->salvage));
     task->salvage.clear();
   }
   try {
@@ -1731,12 +1666,12 @@ LocalEngine::LocalTask* LocalEngine::FindWedgedTask(std::int64_t now) {
     for (auto& tptr : tasks_) {
       LocalTask* task = tptr.get();
       if (task->id.vertex != *v) continue;
-      if (task->is_source || task->chained || !task->HasQueue()) continue;
+      if (task->is_source || task->chained || task->queue == nullptr) continue;
       if (task->done.load() || task->failed.load()) continue;
       // Left half-quarantined by an aborted rebuild (drain timeout): retry
       // the isolation before looking for new wedges.
       if (task->quarantined.load(std::memory_order_relaxed)) return task;
-      if (task->QueueEmpty()) continue;
+      if (task->queue->Empty()) continue;
       if (now - task->last_progress_ns.load(std::memory_order_relaxed) >=
           options_.overload.wedge_deadline) {
         return task;
@@ -1791,10 +1726,10 @@ bool LocalEngine::QuarantineTask(LocalTask* task) {
     for (LocalTask* m : task->chain_members) {
       m->quarantined.store(true, std::memory_order_seq_cst);
     }
-    // The wedge x queue fix: closing the queue wakes producers parked on the
-    // full SPSC ring / BoundedQueue, so no peer ever deadlocks on a wedged
-    // consumer; their subsequent pushes drop and are counted shed above.
-    task->QueueClose();
+    // The wedge x queue fix: closing the queue wakes producers parked on
+    // their full lanes, so no peer ever deadlocks on a wedged consumer;
+    // their subsequent pushes drop and are counted shed above.
+    task->queue->Close();
   }
   restart_state_[key].next_restart_ns = now + NextBackoff(restart_state_[key].count);
   overload_.NoteQuarantine();
@@ -1823,8 +1758,8 @@ void LocalEngine::OverloadTick(const std::vector<double>& estimates) {
   const double capacity =
       static_cast<double>(std::max<std::size_t>(1, options_.queue_capacity));
   for (auto& task : tasks_) {
-    if (task->is_source || task->chained || !task->HasQueue()) continue;
-    const std::size_t depth = task->QueueSize();
+    if (task->is_source || task->chained || task->queue == nullptr) continue;
+    const std::size_t depth = task->queue->size();
     backlog += depth;
     sig.max_queue_fill =
         std::max(sig.max_queue_fill, static_cast<double>(depth) / capacity);
@@ -2038,8 +1973,7 @@ EngineResult LocalEngine::Run(SimDuration max_duration) {
 
     if (options_.shipping == ShippingStrategy::kAdaptive && !constraints_.empty()) {
       last_deadlines_ = ComputeFlushDeadlines(graph_, constraints_, last_summary_,
-                                              last_deadlines_, options_.batching,
-                                              chained_edge_list_);
+                                              options_.batching, chained_edge_list_);
       for (const auto& [edge, deadline] : last_deadlines_) {
         // Degraded rung: widen flush deadlines to trade batching latency
         // for throughput while the engine digs out.

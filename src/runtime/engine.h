@@ -4,11 +4,9 @@
 // at scale; LocalEngine demonstrates the same architecture on REAL threads
 // for laptop-scale jobs and powers the runnable examples:
 //   * one thread per task, bounded input queues (blocking push =
-//     backpressure) -- specialised per epoch to a lock-free SPSC ring for
-//     1-producer edges, to per-producer SPSC fan-in lanes for multi-
-//     producer edges (DESIGN.md §14), and eliminated entirely for chainable
-//     edges, whose consumer UDF is fused into the producer's thread
-//     (DESIGN.md §10),
+//     backpressure) with one lock-free SPSC lane per producer task
+//     (DESIGN.md §14), eliminated entirely for chainable edges, whose
+//     consumer UDF is fused into the producer's thread (DESIGN.md §10),
 //   * per-channel output batching with instant / fixed-size / adaptive
 //     deadline flushing, where adaptive buffers also ship as soon as
 //     their consumer is parked (flush on idle, DESIGN.md §14),
@@ -41,7 +39,6 @@
 #include "qos/manager.h"
 #include "qos/overload.h"
 #include "runtime/fault.h"
-#include "runtime/queue.h"
 #include "runtime/record.h"
 #include "runtime/udf.h"
 
@@ -95,16 +92,6 @@ struct LocalEngineOptions {
   /// DESIGN.md §10.  Chains break and re-form dynamically as the scaler
   /// changes parallelism.
   bool chaining = true;
-  /// Use the lock-free SPSC ring (spsc_queue.h) instead of the mutex-guarded
-  /// MPSC queue for tasks fed by exactly one producer task, selected
-  /// automatically at every epoch (re)build.
-  bool spsc_channels = true;
-  /// Use per-producer SPSC fan-in lanes (fanin_lanes.h) instead of the
-  /// shared mutex-guarded MPSC queue for tasks fed by MORE than one
-  /// producer task, selected automatically at every epoch (re)build
-  /// (DESIGN.md §14).  Off = every multi-producer edge shares one locked
-  /// BoundedQueue (the `--no-lanes` ablation in bench/micro_engine).
-  bool fanin_lanes = true;
   /// Optional fault-injection harness (non-owning; must outlive Run).
   FaultInjector* fault_injector = nullptr;
   /// Overload protection: SLO watchdog + AIMD load shedding + degradation
@@ -298,8 +285,8 @@ class LocalEngine {
   void OfferBatchSamples(Channel& channel, const std::vector<Envelope>& batch,
                          std::int64_t now);
   /// Ships a flushed batch to the consumer's queue.  On return `batch` is
-  /// empty but recharged with recycled capacity (from the queue's spent-
-  /// chunk pool), which is parked in the channel's spare buffer for the
+  /// empty but recharged with recycled capacity (from the lane's ring
+  /// slot), which is parked in the channel's spare buffer for the
   /// next flush -- the steady-state hand-off allocates nothing.
   void DeliverBatch(Channel& channel, std::vector<Envelope>& batch);
   void CloseDownstream(LocalTask* task);
@@ -347,7 +334,7 @@ class LocalEngine {
   /// consumer's backpressure is also stale, but not the culprit.
   LocalTask* FindWedgedTask(std::int64_t now);
   /// Isolates a wedged task: closes its queue FIRST (waking producers parked
-  /// on the full SPSC ring / BoundedQueue -- the wedge x SPSC fix), salvages
+  /// on its full lanes -- the wedge x queue fix), salvages
   /// its backlog, counts its unflushable output buffers as shed, then
   /// rebuilds the epoch around it, parking the unjoinable thread in the
   /// graveyard.  Returns false when the run must terminate (fail-fast

@@ -1,9 +1,9 @@
-// Lock-free bounded SPSC channel: the fast-path input queue for a task fed
-// by exactly ONE producer.  LocalEngine selects it automatically at epoch
-// (re)build time for unchained 1-producer edges; fan-in > 1 edges compose
-// one SpscQueue PER PRODUCER into a FaninLanes array (fanin_lanes.h), and
-// only the no-producer corner falls back to the mutex-guarded BoundedQueue
-// (DESIGN.md §10, §14).
+// Lock-free bounded SPSC lane: one producer task's slot in a FaninLanes
+// input queue (fanin_lanes.h).  Every non-fused task reads a FaninLanes
+// with one lane per producer task; a 1-lane array is the single-producer
+// case (DESIGN.md §14).  The lane is the ring plus its producer half --
+// the consumer park, the salvage stash and the wake claim live once, in
+// FaninLanes.
 //
 // The single-producer / single-consumer restriction lets both cursors
 // advance without a lock, and publication is BATCH-granular all the way
@@ -17,41 +17,21 @@
 //   * `head_`/`tail_` are cache-line-padded monotonic chunk cursors
 //     (power-of-two mask, no wrapping logic); `items_` mirrors the queued
 //     record count for backpressure and the drain detector's Empty().
-//   * The park mutex and condvars are touched only on EMPTY/FULL
-//     transitions, and producer wakeups are THROTTLED like BoundedQueue's:
-//     under sustained backpressure a pop only takes the park mutex when
-//     occupancy falls below the low watermark (capacity/4) or a full chunk
-//     ring regains a slot, so the producer is woken once per drained
-//     quarter-queue, not once per pop.  The producer's timed wait bounds
-//     the cost of any wake this throttling skips.
-//     The park protocol is Dekker-style: a side raises its
-//     `*_parked_` flag (seq_cst) and re-checks the state before sleeping,
-//     while the opposite side publishes its cursor/count (seq_cst) and then
-//     reads the flag -- the seq_cst total order guarantees one of them sees
-//     the other, so either the sleeper re-checks successfully or the
-//     notifier notifies.  Notifies happen with the park mutex held (never
-//     lost between the sleeper's re-check and its wait), and waits are
-//     timed as defense in depth.
-//   * ONE WAKE PER PARK: the producer that sees `consumer_parked_` set
-//     clears it with a seq_cst exchange and only the push that won the
-//     exchange notifies, so `consumer_parked()` reads "asleep, and nobody
-//     has claimed its wake yet".  While a wake is in flight the flag is
-//     already clear, which is what lets LocalEngine's flush-on-idle rule
-//     keep batching instead of shipping (and notifying) once per record
-//     until the consumer is back on the CPU (DESIGN.md §14).
-//
-// The recovery surface mirrors BoundedQueue so the supervisor code is
-// queue-agnostic:
-//   * PushFront re-admits salvaged records through a mutex-guarded stash
-//     that PopBatchFor consumes BEFORE ring items.  PushFront is only
-//     called while the consumer is quiescent (restart paths join the task
-//     thread first), so the stash never races a live pop.
+//   * The park mutex and condvar are touched only on FULL transitions, and
+//     producer wakeups are THROTTLED: under sustained backpressure a pop
+//     only asks for a wake when occupancy falls below the low watermark
+//     (capacity/4) or a full chunk ring regains a slot, so the producer is
+//     woken once per drained quarter-queue, not once per pop.  The
+//     producer's timed wait bounds the cost of any wake this throttling
+//     skips.  The park protocol is Dekker-style: the producer raises
+//     `producer_parked_` (seq_cst) and re-checks the ring before sleeping,
+//     while the consumer publishes its cursor/count (seq_cst) and then
+//     reads the flag -- the seq_cst total order guarantees one of them
+//     sees the other.  Notifies happen with the park mutex held (never lost
+//     between the sleeper's re-check and its wait).
 //   * DrainAll lets the supervisor act as the consumer of a dead task's
 //     backlog (the producer may still be live and mid-push; the cursor
-//     atomics make that safe).
-//   * `mark_busy` follows BoundedQueue's contract -- the flag is raised
-//     BEFORE the pop is published, so the stop-the-world drain detector's
-//     "Empty() then busy" read order can never miss an in-flight record.
+//     atomics make that safe), and Close wakes a parked producer.
 #pragma once
 
 #include <algorithm>
@@ -68,108 +48,24 @@
 namespace esp::runtime {
 
 template <typename T>
-class FaninLanes;  // fanin_lanes.h: per-producer lane arrays reuse the leaves below
+class FaninLanes;  // fanin_lanes.h: the only owner and driver of lanes
 
 template <typename T>
 class SpscQueue {
  public:
-  /// `capacity` bounds the queued RECORD count (like BoundedQueue); the
-  /// chunk ring is sized so one-record chunks can still fill it.
-  explicit SpscQueue(std::size_t capacity)
-      : ring_(RingSlots(capacity)),
-        mask_(ring_.size() - 1),
-        capacity_(capacity),
-        low_watermark_(std::max<std::size_t>(1, capacity / 4)) {}
+  /// Lanes are built in place inside FaninLanes' lane array; SetCapacity
+  /// sizes the ring before the lane is shared with any other thread.
+  SpscQueue() = default;
 
-  /// Blocks until the batch is in the ring or the queue is closed; false
-  /// when closed (remaining items are dropped).  The batch lands as ONE
-  /// chunk via vector swap, and `items` comes back empty but carrying the
-  /// slot's recycled capacity -- the same recharge contract as
-  /// BoundedQueue's lvalue overload.
-  bool PushAll(std::vector<T>& items) ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
-    if (items.empty()) return !closed_.load(std::memory_order_seq_cst);
-    for (;;) {
-      bool want_wake = false;
-      switch (TryPush(items, want_wake)) {
-        case PushStatus::kOk:
-          if (want_wake) WakeConsumer();
-          return true;
-        case PushStatus::kClosed:
-          return false;
-        case PushStatus::kFull:
-          ParkProducer();  // full ring IS the engine's backpressure
-          break;
-      }
-    }
-  }
-
-  bool PushAll(std::vector<T>&& items) ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
-    return PushAll(items);
-  }
-
-  /// Drains up to `max_items` into `out` (cleared first), waiting up to
-  /// `timeout` for the first item; 0 on timeout or closed-and-drained.
-  /// Salvage stash items come out before ring items.  The first whole chunk
-  /// comes out by swap (donating `out`'s spare capacity to the slot);
-  /// further chunks are appended until the budget is hit.  `mark_busy`,
-  /// when given, is raised BEFORE the pop is published iff items return.
-  std::size_t PopBatchFor(std::size_t max_items, std::chrono::nanoseconds timeout,
-                          std::vector<T>& out,
-                          std::atomic<bool>* mark_busy = nullptr)
-      ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
-    out.clear();
-    if (stash_size_.load(std::memory_order_seq_cst) > 0) {
-      const std::size_t n = TakeStash(max_items, out, mark_busy);
-      if (n > 0) return n;
-    }
-    bool want_wake = false;
-    std::size_t taken = PopReady(max_items, out, mark_busy, want_wake);
-    if (taken == 0) {
-      if (closed_.load(std::memory_order_seq_cst)) return 0;
-      ParkConsumer(timeout);
-      if (stash_size_.load(std::memory_order_seq_cst) > 0) {
-        const std::size_t n = TakeStash(max_items, out, mark_busy);
-        if (n > 0) return n;
-      }
-      taken = PopReady(max_items, out, mark_busy, want_wake);
-      if (taken == 0) return 0;
-    }
-    // Throttled wake (see file header): taking the park mutex on EVERY pop
-    // while the producer idles parked would make the saturated regime as
-    // mutex-bound as BoundedQueue.  Waking only when the producer can make
-    // real progress -- occupancy below the watermark, or a full ring with a
-    // slot again -- amortises one wake over a quarter-queue of drain; the
-    // producer's 1ms timed wait covers the corner where occupancy hovers
-    // between the watermark and capacity.
-    if (want_wake) WakeProducer();
-    return taken;
-  }
-
-  /// Re-admits items ahead of everything queued, ignoring capacity and the
-  /// closed flag.  Recovery-only; requires a quiescent consumer (the
-  /// restart paths join the task thread before calling this).
-  void PushFront(std::vector<T>&& items) ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
-    if (items.empty()) return;
-    MutexLock lock(park_mutex_);
-    stash_.insert(stash_.begin(), std::make_move_iterator(items.begin()),
-                  std::make_move_iterator(items.end()));
-    stash_size_.store(stash_.size(), std::memory_order_seq_cst);
-    not_empty_.NotifyAll();
-  }
-
-  /// Removes and returns everything queued (stash first) without waiting.
-  /// Recovery-only: the caller takes over the consumer role, which is safe
-  /// because the real consumer is dead or joined before salvage runs.  The
-  /// producer may still be live; the park mutex is held across the drain so
-  /// a parked producer is re-checked, not stranded.
+  /// Removes and returns everything queued without waiting.  Recovery-only:
+  /// the caller takes over the consumer role, which is safe because the
+  /// real consumer is dead or joined before salvage runs.  The producer may
+  /// still be live; the park mutex is held across the drain so a parked
+  /// producer is re-checked, not stranded.
   std::vector<T> DrainAll() ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     std::vector<T> out;
     MutexLock lock(park_mutex_);
-    out.reserve(stash_.size() + items_.load(std::memory_order_seq_cst));
-    out.insert(out.end(), std::make_move_iterator(stash_.begin()),
-               std::make_move_iterator(stash_.end()));
-    stash_.clear();
-    stash_size_.store(0, std::memory_order_seq_cst);
+    out.reserve(items_.load(std::memory_order_seq_cst));
     std::uint64_t head = head_.load(std::memory_order_seq_cst);
     const std::uint64_t tail = tail_.load(std::memory_order_seq_cst);
     std::size_t drained = 0;
@@ -188,64 +84,44 @@ class SpscQueue {
     return out;
   }
 
-  /// Marks the queue closed; the producer unblocks, the consumer drains
-  /// what's left.
+  /// Marks the lane closed and wakes its parked producer, which then sees
+  /// the refusal; what is queued stays drainable.
   void Close() ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     closed_.store(true, std::memory_order_seq_cst);
     MutexLock lock(park_mutex_);
-    not_empty_.NotifyAll();
     not_full_.NotifyAll();
   }
 
   bool closed() const { return closed_.load(std::memory_order_seq_cst); }
 
-  /// Approximate under concurrency (count and stash reads are not one
-  /// snapshot), exact once the writers quiesce -- which is when the drain
-  /// detector reads it.
-  std::size_t size() const {
-    return items_.load(std::memory_order_seq_cst) +
-           stash_size_.load(std::memory_order_seq_cst);
-  }
-
-  bool Empty() const { return size() == 0; }
-
-  std::size_t capacity() const { return capacity_; }
-
-  /// True while the consumer is parked (or committed to parking) on an
-  /// empty queue and no push has claimed its wake yet.  One lock-free load
-  /// of a line only the park/wake edges write; LocalEngine polls it per
-  /// Produce call / popped batch to ship partial batches to an idle
-  /// consumer.
-  bool consumer_parked() const noexcept ESP_NONBLOCKING {
-    return consumer_parked_.load(std::memory_order_seq_cst);
-  }
+  /// Queued record count; exact once the writers quiesce -- which is when
+  /// the drain detector reads it.
+  std::size_t size() const { return items_.load(std::memory_order_seq_cst); }
 
  private:
-  /// FaninLanes composes one SpscQueue per producer into a fan-in array: it
-  /// drives the lock-free leaves (TryPush/PopReady) and the per-lane park
-  /// protocol directly, while providing its own aggregate consumer park, so
-  /// the leaves stay private to everyone else.
   template <typename>
   friend class FaninLanes;
 
-  /// Chunk slots: enough for `capacity` one-record chunks (instant flush),
-  /// rounded up to a power of two for mask indexing.  Larger chunks simply
-  /// leave slots unused; the record-count bound is `capacity_`.
-  static std::size_t RingSlots(std::size_t capacity) {
-    std::size_t n = 1;
-    while (n < capacity) n <<= 1;
-    return n;
+  /// `capacity` bounds the queued RECORD count.  Chunk slots: enough for
+  /// `capacity` one-record chunks (instant flush), rounded up to a power of
+  /// two for mask indexing; larger chunks simply leave slots unused.
+  void SetCapacity(std::size_t capacity) {
+    std::size_t slots = 1;
+    while (slots < capacity) slots <<= 1;
+    ring_.resize(slots);  // once per lane, at epoch build
+    mask_ = slots - 1;
+    capacity_ = capacity;
+    low_watermark_ = std::max<std::size_t>(1, capacity / 4);
   }
 
   enum class PushStatus { kOk, kFull, kClosed };
 
   /// Lock-free producer fast path: one attempt to land `items` as a chunk.
-  /// Never parks, never takes the park mutex -- on kOk the caller owes the
-  /// consumer a wake iff `want_wake` came back true (the parked-flag
-  /// exchange is the producer half of the Dekker handshake, so it must stay
-  /// ordered after the seq_cst publication stores in here).  `want_wake`
-  /// is true for at most one push per park: the winner of the exchange.
-  PushStatus TryPush(std::vector<T>& items, bool& want_wake) noexcept ESP_NONBLOCKING {
+  /// Never parks, never takes the park mutex.  On kOk the count and cursor
+  /// are published with seq_cst stores, so the caller's read of the
+  /// consumer's parked flag (FaninLanes' half of the Dekker handshake)
+  /// stays ordered after them.
+  PushStatus TryPush(std::vector<T>& items) noexcept ESP_NONBLOCKING {
     if (closed_.load(std::memory_order_seq_cst)) return PushStatus::kClosed;
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);
@@ -257,22 +133,20 @@ class SpscQueue {
     ring_[static_cast<std::size_t>(tail) & mask_].swap(items);
     items.clear();  // moved-from slot leftovers; keep its capacity
     // Publish count before the cursor so size() never under-reports a
-    // visible chunk; both seq_cst so they order before the parked-flag
-    // read below (the Dekker handshake with ParkConsumer).
+    // visible chunk.
     items_.fetch_add(n, std::memory_order_seq_cst);
     tail_.store(tail + 1, std::memory_order_seq_cst);
-    // Claim the wake: the load keeps the common not-parked case a shared
-    // read; the exchange lets exactly one push per park notify.
-    want_wake = consumer_parked_.load(std::memory_order_seq_cst) &&
-                consumer_parked_.exchange(false, std::memory_order_seq_cst);
     return PushStatus::kOk;
   }
 
   /// Lock-free consumer fast path: drains whatever the ring already holds
   /// (up to `max_items`) without waiting; 0 when the ring is empty.
-  /// `want_wake` comes back true when the throttle says a parked producer
-  /// can now make real progress; the caller performs the actual (blocking)
-  /// wake so this stays a pure ring operation.
+  /// `mark_busy`, when given, is raised BEFORE the pop is published iff
+  /// items return, so the stop-the-world drain detector's "Empty() then
+  /// busy" read order can never miss an in-flight record.  `want_wake`
+  /// comes back true when the throttle says a parked producer can now make
+  /// real progress; the caller performs the actual (blocking) wake so this
+  /// stays a pure ring operation.
   std::size_t PopReady(std::size_t max_items, std::vector<T>& out,
                        std::atomic<bool>* mark_busy, bool& want_wake) noexcept
       ESP_NONBLOCKING {
@@ -323,27 +197,9 @@ class SpscQueue {
     return taken;
   }
 
-  /// Consumer side of the park protocol.  Raise the flag, re-check, then
-  /// sleep under the mutex with the predicate re-checked each wakeup.  The
-  /// closing store covers the timeout and spurious-wake exits, where no
-  /// producer claimed the flag.
-  void ParkConsumer(std::chrono::nanoseconds timeout) ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
-    consumer_parked_.store(true, std::memory_order_seq_cst);
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    {
-      MutexLock lock(park_mutex_);
-      while (items_.load(std::memory_order_seq_cst) == 0 &&
-             stash_size_.load(std::memory_order_seq_cst) == 0 &&
-             !closed_.load(std::memory_order_seq_cst)) {
-        if (not_empty_.WaitUntil(lock, deadline) == std::cv_status::timeout) break;
-      }
-    }
-    consumer_parked_.store(false, std::memory_order_seq_cst);
-  }
-
-  /// Producer side.  No overall deadline: a full queue IS the engine's
-  /// backpressure, exactly like BoundedQueue's blocking PushAll.  The waits
-  /// are timed anyway so a lost wakeup degrades to a 1ms hiccup, not a hang.
+  /// Producer side of the park protocol.  No overall deadline: a full lane
+  /// IS the engine's backpressure.  The waits are timed anyway so a lost
+  /// wakeup degrades to a 1ms hiccup, not a hang.
   void ParkProducer() ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     producer_parked_.store(true, std::memory_order_seq_cst);
     {
@@ -361,67 +217,37 @@ class SpscQueue {
 
   /// Notifies with the park mutex held: the sleeper either still holds the
   /// mutex re-checking its predicate (we wait for it) or is already waiting
-  /// (the notify lands).  Only reached on empty/full transitions.
-  void WakeConsumer() ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
-    MutexLock lock(park_mutex_);
-    not_empty_.NotifyAll();
-  }
-
+  /// (the notify lands).  Only reached on full transitions.
   void WakeProducer() ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     MutexLock lock(park_mutex_);
     not_full_.NotifyAll();
   }
 
-  /// Pops up to `max_items` salvaged records.  `mark_busy` is raised before
-  /// `stash_size_` drops so the drain detector cannot observe the records as
-  /// neither queued nor in flight.
-  std::size_t TakeStash(std::size_t max_items, std::vector<T>& out,
-                        std::atomic<bool>* mark_busy) ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
-    MutexLock lock(park_mutex_);
-    const std::size_t take = std::min(stash_.size(), max_items);
-    if (take == 0) return 0;
-    if (mark_busy != nullptr) mark_busy->store(true, std::memory_order_seq_cst);
-    const auto begin = stash_.begin();
-    out.insert(out.end(), std::make_move_iterator(begin),
-               std::make_move_iterator(begin + static_cast<std::ptrdiff_t>(take)));
-    stash_.erase(begin, begin + static_cast<std::ptrdiff_t>(take));
-    stash_size_.store(stash_.size(), std::memory_order_seq_cst);
-    return take;
-  }
-
   // Chunk storage: slot contents are written by the producer and read by
   // the consumer with ownership decided by the cursors; the seq_cst cursor
   // stores above are the synchronisation edges TSan and the memory model
-  // see.  `chunk_off_` (consumer-only) tracks the partially-consumed front
-  // chunk when a chunk exceeds the pop budget.
+  // see.  The sizing fields are written once by SetCapacity before the
+  // lane is shared, so this line stays read-only for both sides.
   std::vector<std::vector<T>> ring_;
-  const std::size_t mask_;
-  const std::size_t capacity_;
+  std::size_t mask_ = 0;
+  std::size_t capacity_ = 0;
   /// Occupancy below which a pop wakes a parked producer (wake throttling).
-  const std::size_t low_watermark_;
-  std::size_t chunk_off_ = 0;
+  std::size_t low_watermark_ = 1;
 
   // Producer-owned and consumer-owned cursors on separate cache lines (and
-  // padded away from the cold fields below).  `items_` is the queued record
+  // padded away from the cold fields below).  `chunk_off_` (consumer-only)
+  // tracks the partially-consumed front chunk when a chunk exceeds the pop
+  // budget; it shares the consumer's line.  `items_` is the queued record
   // count (both sides write, control thread reads).
   alignas(64) std::atomic<std::uint64_t> tail_{0};
   alignas(64) std::atomic<std::uint64_t> head_{0};
+  std::size_t chunk_off_ = 0;
   alignas(64) std::atomic<std::size_t> items_{0};
   std::atomic<bool> closed_{false};
   std::atomic<bool> producer_parked_{false};
-  /// Own line: producers poll it per Produce call / popped batch
-  /// (consumer_parked()), and only the park/wake edges write it, so the
-  /// poll stays a shared-cache hit instead of bouncing with `items_`.
-  alignas(64) std::atomic<bool> consumer_parked_{false};
-  /// Mirror of stash_.size() readable without the park mutex (Empty()/size()
-  /// run on the control thread inside the drain detector).
-  std::atomic<std::size_t> stash_size_{0};
 
   mutable Mutex park_mutex_;
-  CondVar not_empty_;
   CondVar not_full_;
-  /// Salvage re-admitted ahead of the ring (see PushFront).
-  std::vector<T> stash_ ESP_GUARDED_BY(park_mutex_);
 };
 
 }  // namespace esp::runtime

@@ -357,7 +357,7 @@ TEST(BatchingPolicy, SplitsBatchBudgetEvenlyOverEdges) {
   Pipeline pipe({{80.0, 0.010, 1.0, 1.0, 4, 1, 64, true, 0.002}});
   const auto constraint = pipe.Constraint(FromMillis(22));
   const FlushDeadlines deadlines =
-      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, {}, {});
+      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary);
   ASSERT_EQ(deadlines.size(), 2u);
   // Budget = 0.8 * (0.022 - 0.002) = 16 ms over 2 edges -> 8 ms each,
   // discounted by the 0.75 safety factor -> 6 ms.
@@ -373,7 +373,7 @@ TEST(BatchingPolicy, FusedEdgesAreExcludedFromTheBudgetSplit) {
   Pipeline pipe({{80.0, 0.010, 1.0, 1.0, 4, 1, 64, true, 0.002}});
   const auto constraint = pipe.Constraint(FromMillis(22));
   const FlushDeadlines deadlines =
-      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, {}, {}, {1});
+      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, {}, {1});
   ASSERT_EQ(deadlines.size(), 1u);
   EXPECT_EQ(deadlines.count(1), 0u);
   EXPECT_EQ(deadlines.at(0), FromMillis(12));
@@ -384,7 +384,7 @@ TEST(BatchingPolicy, OverlappingConstraintsTakeTightestDeadline) {
   const auto loose = pipe.Constraint(FromMillis(100), "loose");
   const auto tight = pipe.Constraint(FromMillis(10), "tight");
   const FlushDeadlines deadlines =
-      ComputeFlushDeadlines(pipe.graph, {loose, tight}, pipe.summary, {}, {});
+      ComputeFlushDeadlines(pipe.graph, {loose, tight}, pipe.summary);
   EXPECT_EQ(deadlines.at(0), FromMillis(3));  // 0.75 * 0.8 * 10ms / 2 edges
 }
 
@@ -394,7 +394,7 @@ TEST(BatchingPolicy, ClampsToMinimumDeadline) {
   BatchingPolicyOptions opts;
   opts.min_deadline = FromMicros(100);
   const FlushDeadlines deadlines =
-      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, {}, opts);
+      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, opts);
   EXPECT_EQ(deadlines.at(0), FromMicros(100));
 }
 

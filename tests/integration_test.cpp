@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/batching.h"
 #include "model/latency_model.h"
 #include "sim/cluster.h"
 #include "sim/rate_schedule.h"
@@ -74,36 +73,6 @@ TEST(PaperFormulas, PWMatchesPublishedExpression) {
       }
     }
   }
-}
-
-// --------------------------------------------------- batching feedback loop
-
-TEST(BatchingFeedback, DeadlineMovesTowardShareWhenMeasurementDeviates) {
-  JobGraph g;
-  const auto a = g.AddVertex({.name = "A", .parallelism = 1, .max_parallelism = 1});
-  const auto b = g.AddVertex({.name = "B", .parallelism = 1, .max_parallelism = 1});
-  const auto e = g.Connect(a, b);
-  const LatencyConstraint c{JobSequence(g, {SequenceElement{e}}), FromMillis(100),
-                            FromSeconds(10), "c"};
-
-  BatchingPolicyOptions opts;
-  opts.feedback_gain = 1.0;  // undamped for a crisp assertion
-  // Share = safety * 0.8 * 100 ms = 60 ms.
-  const double share = opts.deadline_safety_factor * 0.8 * 0.100;
-
-  GlobalSummary summary;
-  summary.edges[Value(e)] = EdgeSummary{0.050, /*obl=*/0.030};  // measured below share
-
-  FlushDeadlines previous;
-  previous[Value(e)] = FromSeconds(0.040);
-  const FlushDeadlines next = ComputeFlushDeadlines(g, {c}, summary, previous, opts);
-  // suggested = prev * share / measured = 40ms * 60/30 = 80 ms.
-  EXPECT_NEAR(ToSeconds(next.at(Value(e))), 0.040 * share / 0.030, 1e-9);
-
-  // Measured above the share: the deadline must shrink.
-  summary.edges[Value(e)] = EdgeSummary{0.120, /*obl=*/0.090};
-  const FlushDeadlines shrunk = ComputeFlushDeadlines(g, {c}, summary, previous, opts);
-  EXPECT_LT(shrunk.at(Value(e)), previous.at(Value(e)));
 }
 
 // --------------------------------------------------------- simulator stress

@@ -91,14 +91,6 @@ TEST(LatencyModel, WaitFollowsClosedForm) {
   EXPECT_TRUE(std::isinf(v.Wait(3)));  // p <= b saturates
 }
 
-TEST(LatencyModel, UtilizationAtScalesAntiproportionally) {
-  const Fixture f(80.0, 0.010, 1.0, 1.0, 4, 64);
-  const VertexModel& v = f.Model().vertices()[0];
-  EXPECT_NEAR(v.UtilizationAt(4), 0.8, 1e-12);   // Eq. 5 at p* = p
-  EXPECT_NEAR(v.UtilizationAt(8), 0.4, 1e-12);
-  EXPECT_NEAR(v.UtilizationAt(2), 1.6, 1e-12);
-}
-
 TEST(LatencyModel, ErrorCoefficientReproducesMeasuredWait) {
   // Measured queue wait on the inbound edge = l_e - obl_e = 60 ms while
   // Kingman predicts 40 ms -> e = 1.5, and the fitted model must return the
@@ -144,7 +136,6 @@ TEST(LatencyModel, BuildThrowsWithoutVertexData) {
 TEST(LatencyModel, BottleneckDetectionUsesThreshold) {
   const Fixture busy(95.0, 0.010, 1.0, 1.0, 1, 64);  // rho = 0.95
   EXPECT_TRUE(busy.Model().HasBottleneck());
-  ASSERT_EQ(busy.Model().Bottlenecks().size(), 1u);
 
   const Fixture relaxed(50.0, 0.010, 1.0, 1.0, 1, 64);  // rho = 0.5
   EXPECT_FALSE(relaxed.Model().HasBottleneck());
@@ -162,11 +153,6 @@ TEST(LatencyModel, TotalWaitSumsAndPropagatesInfinity) {
   EXPECT_THROW(model.TotalWait({4, 4}), std::invalid_argument);
 }
 
-TEST(LatencyModel, WaitAtMaxParallelismUsesPMax) {
-  const Fixture f(80.0, 0.010, 1.0, 1.0, 4, 64);
-  const LatencyModel model = f.Model();
-  EXPECT_NEAR(model.WaitAtMaxParallelism(), model.vertices()[0].Wait(64), 1e-12);
-}
 
 // --- Property tests for the closed-form step formulas -----------------
 

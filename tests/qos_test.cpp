@@ -103,7 +103,7 @@ TEST(QosReporter, RejectsDuplicatesAndUnknownLookups) {
   EXPECT_THROW(reporter.AddTask(t0), std::invalid_argument);
   EXPECT_THROW(reporter.task_sampler(TaskId{JobVertexId{1}, 9}), std::out_of_range);
   reporter.RemoveTask(t0);
-  EXPECT_FALSE(reporter.HasTask(t0));
+  EXPECT_THROW(reporter.task_sampler(t0), std::out_of_range);
 }
 
 QosReport MakeTaskReport(SimTime t, TaskId task, double service, double interarrival,

@@ -1,7 +1,7 @@
-// Tests for the threaded local runtime: the bounded queue, record boxing
-// and the LocalEngine end-to-end (routing patterns, batching strategies
-// including flush on idle, windowed UDFs, termination, and stop-the-world
-// elastic rescaling).
+// Tests for the threaded local runtime: record boxing, the single-lane input
+// queue and the LocalEngine end-to-end (routing patterns, batching
+// strategies including flush on idle, windowed UDFs, termination, and
+// stop-the-world elastic rescaling).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -16,9 +16,8 @@
 
 #include "common/thread_annotations.h"
 #include "runtime/engine.h"
-#include "runtime/queue.h"
+#include "runtime/fanin_lanes.h"
 #include "runtime/record.h"
-#include "runtime/spsc_queue.h"
 
 namespace esp::runtime {
 namespace {
@@ -157,226 +156,25 @@ TEST(Record, LayoutStaysWithinBudget) {
   EXPECT_EQ(alignof(Record), 8u);
 }
 
-// ------------------------------------------------------------------ queue
+// -------------------------------------------------------- single-lane queue
+//
+// Every non-fused task reads a FaninLanes with one SPSC lane per producer
+// task; a 1-lane FaninLanes IS the single-producer ring (DESIGN.md §14).
+// These pin the ring's contracts through the queue's only interface; the
+// FaninLanes suite (fanin_test.cpp) covers the merged multi-lane cases.
 
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(10);
-  std::vector<int> batch{1, 2, 3};
-  ASSERT_TRUE(q.PushAll(std::move(batch)));
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 1);
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 2);
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 3);
-  EXPECT_FALSE(q.PopFor(nanoseconds(1000)).has_value());
+using SingleLaneQueue = FaninLanes<int>;
+
+// Pushes `items` to `lane` (the queue takes lvalue batches so it can hand
+// back recycled capacity; tests mostly do not care).
+bool Push(SingleLaneQueue& q, std::vector<int> items, std::size_t lane = 0) {
+  return q.PushAll(lane, items);
 }
-
-TEST(BoundedQueue, CloseUnblocksAndDrains) {
-  BoundedQueue<int> q(4);
-  std::vector<int> batch{1};
-  ASSERT_TRUE(q.PushAll(std::move(batch)));
-  q.Close();
-  EXPECT_TRUE(q.closed());
-  // Drains remaining items after close...
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 1);
-  // ...then reports empty, and pushes are rejected.
-  EXPECT_FALSE(q.PopFor(nanoseconds(1000)).has_value());
-  std::vector<int> more{2};
-  EXPECT_FALSE(q.PushAll(std::move(more)));
-}
-
-TEST(BoundedQueue, OversizeBatchAdmittedWhenEmpty) {
-  BoundedQueue<int> q(2);
-  std::vector<int> batch{1, 2, 3, 4, 5};
-  ASSERT_TRUE(q.PushAll(std::move(batch)));  // would deadlock without the guard
-  EXPECT_EQ(q.size(), 5u);
-}
-
-TEST(BoundedQueue, FullQueueBlocksProducerUntilConsumed) {
-  BoundedQueue<int> q(2);
-  std::vector<int> first{1, 2};
-  ASSERT_TRUE(q.PushAll(std::move(first)));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    std::vector<int> second{3};
-    q.PushAll(std::move(second));
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // backpressure: producer is blocked
-  q.PopFor(nanoseconds(1'000'000));
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BoundedQueue, PopBatchForDrainsUpToLimitInOrder) {
-  BoundedQueue<int> q(16);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2, 3}));
-  ASSERT_TRUE(q.PushAll(std::vector<int>{4, 5}));
-  std::vector<int> out;
-  // Takes the whole first chunk plus part of the second, preserving FIFO.
-  EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 4u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 1u);
-  EXPECT_EQ(out, (std::vector<int>{5}));
-  EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 0u);
-}
-
-TEST(BoundedQueue, RecyclingPushRechargesProducerCapacity) {
-  BoundedQueue<int> q(64);
-  std::vector<int> batch{1, 2, 3, 4};
-  std::vector<int> out;
-  out.reserve(16);  // consumer storage that will enter the recycling cycle
-  ASSERT_TRUE(q.PushAll(batch));  // lvalue overload: cold pool, batch just empties
-  EXPECT_TRUE(batch.empty());
-  // The pop swaps the chunk into `out`; out's old 16-capacity storage parks
-  // in the queue's spent-chunk pool.
-  EXPECT_EQ(q.PopBatchFor(8, nanoseconds(1000), out), 4u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
-  batch = {5, 6, 7};
-  ASSERT_TRUE(q.PushAll(batch));  // now recharged from the pool
-  EXPECT_TRUE(batch.empty());
-  EXPECT_GE(batch.capacity(), 16u);
-  EXPECT_EQ(q.PopBatchFor(8, nanoseconds(1000), out), 3u);
-  EXPECT_EQ(out, (std::vector<int>{5, 6, 7}));  // FIFO order survives recycling
-}
-
-TEST(BoundedQueue, OversizeBatchAdmittedAfterDrain) {
-  // Regression: an oversize batch arriving while the queue is NON-empty must
-  // block until the queue fully drains, then be admitted -- the pop-side
-  // "queue emptied" wakeup is what lets it through.
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2}));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.PushAll(std::vector<int>{3, 4, 5, 6, 7});
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // waits: queue is occupied and batch > capacity
-  std::vector<int> got, out;
-  for (int i = 0; i < 100 && got.size() < 7; ++i) {
-    q.PopBatchFor(4, nanoseconds(50'000'000), out);
-    got.insert(got.end(), out.begin(), out.end());
-  }
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(BoundedQueue, BatchPushWakesAllWaitingConsumers) {
-  // Regression: a multi-item PushAll can satisfy several parked consumers;
-  // waking only one would strand the other until its timeout.
-  BoundedQueue<int> q(8);
-  std::atomic<int> got{0};
-  auto consume = [&] {
-    if (q.PopFor(std::chrono::seconds(5)).has_value()) got.fetch_add(1);
-  };
-  std::thread c1(consume), c2(consume);
-  std::this_thread::sleep_for(milliseconds(20));  // let both consumers park
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2}));
-  c1.join();
-  c2.join();
-  EXPECT_EQ(got.load(), 2);
-}
-
-TEST(BoundedQueue, PushFrontReordersAheadOfQueuedItems) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{3, 4}));
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 3);  // leave a consumed prefix
-  q.PushFront(std::vector<int>{1, 2});
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatchFor(8, nanoseconds(1000), out), 3u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 4}));
-}
-
-TEST(BoundedQueue, PushFrontIgnoresCapacityAndClose) {
-  // Recovery path: salvaged records must be re-admitted even when the queue
-  // is full or was closed by upstream while the task was dead.
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{5, 6}));
-  q.Close();
-  q.PushFront(std::vector<int>{1, 2, 3});
-  EXPECT_EQ(q.size(), 5u);
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatchFor(8, nanoseconds(1000), out), 5u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 5, 6}));
-}
-
-TEST(BoundedQueue, DrainAllTakesEverythingWithoutWaiting) {
-  BoundedQueue<int> q(8);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2, 3}));
-  ASSERT_TRUE(q.PushAll(std::vector<int>{4}));
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 1);
-  EXPECT_EQ(q.DrainAll(), (std::vector<int>{2, 3, 4}));
-  EXPECT_TRUE(q.Empty());
-  EXPECT_TRUE(q.DrainAll().empty());
-}
-
-TEST(BoundedQueue, DrainDetectorSeesNoInFlightItems) {
-  // Stress for the invariant stop-the-world rescaling relies on: mark_busy
-  // is set under the queue lock iff items were returned, so an observer who
-  // reads the queue empty and THEN the flag false can conclude every pushed
-  // item has been fully processed.
-  BoundedQueue<int> q(16);
-  std::atomic<bool> busy{false};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> processed{0};
-  std::thread consumer([&] {
-    std::vector<int> batch;
-    while (!stop.load()) {
-      const std::size_t n = q.PopBatchFor(8, nanoseconds(200'000), batch, &busy);
-      if (n > 0) {
-        processed.fetch_add(n);  // "process" before declaring idle
-        busy.store(false);
-      }
-    }
-  });
-  std::uint64_t pushed = 0;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<int> burst(1 + round % 13, round);
-    pushed += burst.size();
-    ASSERT_TRUE(q.PushAll(std::move(burst)));
-    // Same protocol as LocalEngine::Rescale: three consecutive observations
-    // of (queue empty, then task not busy) -- in that order.
-    int stable = 0;
-    while (stable < 3) {
-      const bool empty = q.Empty();    // read queue state first...
-      const bool idle = !busy.load();  // ...then the busy flag
-      stable = (empty && idle) ? stable + 1 : 0;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    ASSERT_EQ(processed.load(), pushed) << "round " << round;
-  }
-  stop.store(true);
-  q.Close();
-  consumer.join();
-  EXPECT_EQ(processed.load(), pushed);
-}
-
-TEST(BoundedQueue, SpentChunkPoolRetainedCapacityIsBounded) {
-  // Regression for the bounded free pool: recycling retains at most one
-  // queue's worth (capacity_) of spent-chunk storage, so a burst that
-  // drained through large chunks cannot pin peak-backlog memory for the
-  // queue's whole lifetime.
-  BoundedQueue<int> q(64);
-  std::vector<int> out;
-  for (int round = 0; round < 16; ++round) {
-    for (int c = 0; c < 4; ++c) {
-      std::vector<int> chunk(16, c);
-      ASSERT_TRUE(q.PushAll(std::move(chunk)));
-    }
-    EXPECT_EQ(q.PopBatchFor(64, nanoseconds(1000), out), 64u);
-    EXPECT_LE(q.PooledCapacity(), 64u) << "round " << round;
-  }
-  EXPECT_GT(q.PooledCapacity(), 0u);  // pooling itself still works
-}
-
-// ------------------------------------------------------------- SPSC queue
 
 TEST(SpscQueue, FifoOrderAcrossChunks) {
-  SpscQueue<int> q(16);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2, 3}));
-  ASSERT_TRUE(q.PushAll(std::vector<int>{4, 5}));
+  SingleLaneQueue q(16, 1);
+  ASSERT_TRUE(Push(q, {1, 2, 3}));
+  ASSERT_TRUE(Push(q, {4, 5}));
   std::vector<int> out;
   // Takes the whole first chunk plus part of the second, preserving FIFO.
   EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 4u);
@@ -389,10 +187,10 @@ TEST(SpscQueue, FifoOrderAcrossChunks) {
 TEST(SpscQueue, CursorsWrapAroundTheRingManyTimes) {
   // Capacity 4 -> 4 chunk slots; 100 push/pop cycles wrap the monotonic
   // cursors around the mask 25 times.
-  SpscQueue<int> q(4);
+  SingleLaneQueue q(4, 1);
   std::vector<int> out;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.PushAll(std::vector<int>{i}));
+    ASSERT_TRUE(Push(q, {i}));
     ASSERT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 1u);
     EXPECT_EQ(out, (std::vector<int>{i}));
   }
@@ -403,37 +201,37 @@ TEST(SpscQueue, SwapRecyclesCapacityThroughTheRingSlot) {
   // Capacity recycling without a free pool: the consumer's pop donates its
   // batch storage to the slot, and the producer's next push at that slot
   // takes it back.  Capacity 1 -> one slot, so the handoff is immediate.
-  SpscQueue<int> q(1);
+  SingleLaneQueue q(1, 1);
   std::vector<int> out;
   out.reserve(64);
   std::vector<int> batch{1};
-  ASSERT_TRUE(q.PushAll(batch));
+  ASSERT_TRUE(q.PushAll(0, batch));
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 1u);  // slot <- out's 64
   batch = {2};
-  ASSERT_TRUE(q.PushAll(batch));
+  ASSERT_TRUE(q.PushAll(0, batch));
   EXPECT_TRUE(batch.empty());
   EXPECT_GE(batch.capacity(), 64u);  // producer recharged from the slot
 }
 
 TEST(SpscQueue, CloseUnblocksAndDrains) {
-  SpscQueue<int> q(4);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1}));
+  SingleLaneQueue q(4, 1);
+  ASSERT_TRUE(Push(q, {1}));
   q.Close();
   EXPECT_TRUE(q.closed());
   std::vector<int> out;
   EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 1u);  // drains after close
   EXPECT_EQ(out, (std::vector<int>{1}));
   EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 0u);
-  EXPECT_FALSE(q.PushAll(std::vector<int>{2}));  // pushes rejected
+  EXPECT_FALSE(Push(q, {2}));  // pushes rejected
 }
 
 TEST(SpscQueue, FullQueueBlocksProducerUntilConsumed) {
-  SpscQueue<int> q(2);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2}));
+  SingleLaneQueue q(2, 1);
+  ASSERT_TRUE(Push(q, {1, 2}));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    q.PushAll(std::vector<int>{3});
+    Push(q, {3});
     pushed.store(true);
   });
   std::this_thread::sleep_for(milliseconds(20));
@@ -446,13 +244,44 @@ TEST(SpscQueue, FullQueueBlocksProducerUntilConsumed) {
   EXPECT_EQ(out, (std::vector<int>{3}));
 }
 
+TEST(SpscQueue, OversizeBatchAdmittedWhenEmpty) {
+  // The bound is checked before a push, so a batch larger than the whole
+  // capacity still lands in an empty lane instead of deadlocking.
+  SingleLaneQueue q(2, 1);
+  ASSERT_TRUE(Push(q, {1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.size(), 5u);
+}
+
+TEST(SpscQueue, OversizeBatchAdmittedAfterDrain) {
+  // An oversize batch arriving while the lane is NON-empty must park until
+  // the lane drains, then be admitted -- the pop-side wake is what lets it
+  // through.
+  SingleLaneQueue q(2, 1);
+  ASSERT_TRUE(Push(q, {1, 2}));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    Push(q, {3, 4, 5, 6, 7});
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_FALSE(pushed.load());  // waits: lane is occupied and batch > capacity
+  std::vector<int> got, out;
+  for (int i = 0; i < 100 && got.size() < 7; ++i) {
+    q.PopBatchFor(4, nanoseconds(50'000'000), out);
+    got.insert(got.end(), out.begin(), out.end());
+  }
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(SpscQueue, OversizedChunkComesOutInPartialRuns) {
   // One chunk larger than the pop budget: the consumer's cursor stays on
-  // the chunk across pops (chunk_off_), preserving order with no loss.
-  SpscQueue<int> q(16);
+  // the chunk across pops, preserving order with no loss.
+  SingleLaneQueue q(16, 1);
   std::vector<int> big;
   for (int i = 0; i < 10; ++i) big.push_back(i);
-  ASSERT_TRUE(q.PushAll(std::move(big)));
+  ASSERT_TRUE(Push(q, std::move(big)));
   std::vector<int> out, got;
   while (q.PopBatchFor(3, nanoseconds(1000), out) > 0) {
     EXPECT_LE(out.size(), 3u);
@@ -465,10 +294,10 @@ TEST(SpscQueue, OversizedChunkComesOutInPartialRuns) {
 TEST(SpscQueue, PushFrontComesOutBeforeRingItems) {
   // Recovery path: salvaged records re-admitted via the stash come out
   // ahead of queued chunks, even when the queue is full or closed.
-  SpscQueue<int> q(2);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{5, 6}));
+  SingleLaneQueue q(2, 1);
+  ASSERT_TRUE(Push(q, {5, 6}));
   q.Close();
-  q.PushFront(std::vector<int>{1, 2, 3});
+  q.PushFront({1, 2, 3});
   EXPECT_EQ(q.size(), 5u);
   std::vector<int> out, got;
   while (q.PopBatchFor(8, nanoseconds(1000), out) > 0) {
@@ -477,21 +306,37 @@ TEST(SpscQueue, PushFrontComesOutBeforeRingItems) {
   EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 5, 6}));
 }
 
+TEST(SpscQueue, PushFrontReordersAheadOfAPartlyConsumedChunk) {
+  // Salvage lands ahead of a chunk the consumer already started on, and
+  // the chunk's remainder follows it without losing or repeating a record.
+  SingleLaneQueue q(4, 1);
+  ASSERT_TRUE(Push(q, {3, 4}));
+  std::vector<int> out;
+  ASSERT_EQ(q.PopBatchFor(1, nanoseconds(1000), out), 1u);  // consumed prefix
+  EXPECT_EQ(out, (std::vector<int>{3}));
+  q.PushFront({1, 2});
+  std::vector<int> got;
+  while (q.PopBatchFor(8, nanoseconds(1000), out) > 0) {
+    got.insert(got.end(), out.begin(), out.end());
+  }
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 4}));
+}
+
 TEST(SpscQueue, DrainAllTakesStashAndRingWithoutWaiting) {
-  SpscQueue<int> q(8);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{3, 4}));
-  ASSERT_TRUE(q.PushAll(std::vector<int>{5}));
-  q.PushFront(std::vector<int>{1, 2});
+  SingleLaneQueue q(8, 1);
+  ASSERT_TRUE(Push(q, {3, 4}));
+  ASSERT_TRUE(Push(q, {5}));
+  q.PushFront({1, 2});
   EXPECT_EQ(q.DrainAll(), (std::vector<int>{1, 2, 3, 4, 5}));
   EXPECT_TRUE(q.Empty());
   EXPECT_TRUE(q.DrainAll().empty());
 }
 
 TEST(SpscQueue, DrainDetectorSeesNoInFlightItems) {
-  // The stop-the-world drain invariant, same protocol as the BoundedQueue
-  // stress: mark_busy is raised BEFORE the pop is published, so reading
-  // "queue empty, then flag false" proves every pushed item was processed.
-  SpscQueue<int> q(16);
+  // The stop-the-world drain invariant: mark_busy is raised BEFORE the pop
+  // is published, so reading "queue empty, then flag false" proves every
+  // pushed item was processed.
+  SingleLaneQueue q(16, 1);
   std::atomic<bool> busy{false};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> processed{0};
@@ -509,7 +354,9 @@ TEST(SpscQueue, DrainDetectorSeesNoInFlightItems) {
   for (int round = 0; round < 50; ++round) {
     std::vector<int> burst(1 + round % 13, round);
     pushed += burst.size();
-    ASSERT_TRUE(q.PushAll(std::move(burst)));
+    ASSERT_TRUE(Push(q, std::move(burst)));
+    // Same protocol as LocalEngine::RebuildEpoch: three consecutive
+    // observations of (queue empty, then task not busy) -- in that order.
     int stable = 0;
     while (stable < 3) {
       const bool empty = q.Empty();    // read queue state first...
@@ -530,14 +377,14 @@ TEST(SpscQueue, ConcurrentStressKeepsOrderAndCount) {
   // producer to park on full and the consumer to park on empty thousands of
   // times; under TSan this exercises the Dekker handshake from both sides.
   constexpr int kTotal = 20000;
-  SpscQueue<int> q(32);
+  SingleLaneQueue q(32, 1);
   std::thread producer([&] {
     int next = 0;
     std::vector<int> batch;
     while (next < kTotal) {
       const int n = 1 + next % 7;
       for (int i = 0; i < n && next < kTotal; ++i) batch.push_back(next++);
-      ASSERT_TRUE(q.PushAll(batch));
+      ASSERT_TRUE(q.PushAll(0, batch));
       EXPECT_TRUE(batch.empty());
     }
     q.Close();
@@ -563,14 +410,15 @@ TEST(SpscQueue, ConcurrentStressKeepsOrderAndCount) {
 //
 // "Parked" means asleep with no wake claimed yet: the push that finds the
 // consumer parked claims its wake (consumer_parked() reads false once that
-// push returns) and wakes it, on every queue shape.  LocalEngine's flush on
-// idle polls this query, so a stale true would ship one record per poll.
+// push returns) and wakes it.  LocalEngine's flush on idle polls this
+// query, so a stale true would ship one record per poll.
 
-// Parks a consumer on a 5 s pop, pushes one record once it is parked, and
-// checks the push claimed the wake and the pop returned well before its
-// timeout.
-template <typename Queue, typename Push>
-void ExpectPushClaimsParkedConsumer(Queue& q, Push push) {
+TEST(SpscQueue, PushClaimsTheParkedConsumersWake) {
+  // Parks a consumer on a 5 s pop, pushes one record once it is parked,
+  // and checks the push claimed the wake and the pop returned well before
+  // its timeout.
+  SingleLaneQueue q(16, 1);
+  EXPECT_FALSE(q.consumer_parked());
   std::size_t popped = 0;
   std::chrono::steady_clock::duration waited{};
   std::thread consumer([&] {
@@ -584,29 +432,11 @@ void ExpectPushClaimsParkedConsumer(Queue& q, Push push) {
     std::this_thread::yield();
   }
   ASSERT_TRUE(q.consumer_parked()) << "consumer never parked";
-  push();
+  ASSERT_TRUE(Push(q, {1}));
   EXPECT_FALSE(q.consumer_parked()) << "the push left the wake unclaimed";
   consumer.join();
   EXPECT_EQ(popped, 1u);
   EXPECT_LT(waited, std::chrono::seconds(1));
-}
-
-TEST(SpscQueue, PushClaimsTheParkedConsumersWake) {
-  SpscQueue<int> q(16);
-  EXPECT_FALSE(q.consumer_parked());
-  ExpectPushClaimsParkedConsumer(q, [&] {
-    std::vector<int> one = {1};
-    ASSERT_TRUE(q.PushAll(one));
-  });
-}
-
-TEST(BoundedQueue, PushClaimsTheParkedConsumersWake) {
-  BoundedQueue<int> q(16);
-  EXPECT_FALSE(q.consumer_parked());
-  ExpectPushClaimsParkedConsumer(q, [&] {
-    std::vector<int> one = {1};
-    ASSERT_TRUE(q.PushAll(one));
-  });
 }
 
 TEST(SpscQueue, WakeClaimStressWithOneRecordBatches) {
@@ -616,7 +446,7 @@ TEST(SpscQueue, WakeClaimStressWithOneRecordBatches) {
   // sleeps out its 2 s timeout; under TSan this grades the claim exchange
   // against the park.
   constexpr int kTotal = 2000;
-  SpscQueue<int> q(64);
+  SingleLaneQueue q(64, 1);
   int received = 0;
   int stalls = 0;
   std::thread consumer([&] {
@@ -643,7 +473,7 @@ TEST(SpscQueue, WakeClaimStressWithOneRecordBatches) {
       std::this_thread::yield();
     }
     batch.push_back(i);
-    ASSERT_TRUE(q.PushAll(batch));
+    ASSERT_TRUE(q.PushAll(0, batch));
   }
   q.Close();
   consumer.join();
@@ -1354,15 +1184,14 @@ TEST(LocalEngineChaining, ChainingOffDeliversTheSameThroughRealQueues) {
 }
 
 TEST(LocalEngineChaining, SpscBackpressuredPipelineDeliversExactly) {
-  // Chaining off isolates the SPSC selection: every edge here has exactly
-  // one producer task, so both hops ride the lock-free ring.  A tiny
+  // Chaining off keeps both hops as queues: every edge here has exactly
+  // one producer task, so both ride a single-lane (SPSC) queue.  A tiny
   // capacity keeps the flow backpressured, stressing park/unpark.
   constexpr int kTotal = 2000;
   SinkState state;
   LocalEngineOptions opts;
   opts.shipping = ShippingStrategy::kInstantFlush;
   opts.chaining = false;
-  opts.spsc_channels = true;
   opts.queue_capacity = 8;
   LocalEngine engine(LinearGraph(1, 1), opts);
   engine.SetSource("Src", [total = kTotal](std::uint32_t) {
@@ -1619,14 +1448,6 @@ TEST(LocalEngineIdleFlush, ShipsLoneRecordsOverFaninLanes) {
   ExpectShippedOnIdle(run, 2);
 }
 
-TEST(LocalEngineIdleFlush, ShipsALoneRecordOverBoundedQueue) {
-  LocalEngineOptions opts;
-  opts.spsc_channels = false;
-  opts.fanin_lanes = false;
-  const IdleRun run = RunOneRecordPerSource(SourceToSink(1), opts, 1, milliseconds(2000));
-  ExpectShippedOnIdle(run, 1);
-}
-
 TEST(LocalEngineIdleFlush, TaskSideTriggerShipsThroughAnUnchainedHop) {
   // Src -> A -> Snk with chaining off: the A -> Snk buffer is filled by A's
   // task loop, so only the check after each popped batch can ship it.
@@ -1676,28 +1497,39 @@ TEST(AllocCounting, CounterObservesBoxedAllocations) {
 TEST(AllocCounting, WarmedRecordQueueCycleIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "build with -DESP_COUNT_ALLOCS=ON";
   // Single-threaded steady-state loop over the full hand-off cycle:
-  // MakeRecord -> producer batch -> lvalue PushAll -> PopBatchFor.  After
-  // warm-up the capacity circulates producer -> chunk -> pool -> producer
-  // and the loop must perform EXACTLY zero heap allocations.
-  BoundedQueue<Record> q(1024);
-  std::vector<Record> batch;
-  std::vector<Record> out;
+  // MakeRecord -> producer batch -> PushAll -> PopBatchFor, on the one
+  // input queue with 1 lane (the single-producer ring) and 2 lanes.  The
+  // ring recycles capacity per SLOT (a pop leaves its old storage in the
+  // slot, the next push there takes it back), so warm-up must visit every
+  // slot of every lane: a small capacity keeps the ring short, and the
+  // warm-up runs twice round it.  After that the loop must perform EXACTLY
+  // zero heap allocations.
+  constexpr std::size_t kCapacity = 128;
   constexpr std::size_t kBatch = 64;
-  const auto cycle = [&] {
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      batch.push_back(MakeRecord<std::uint64_t>(i, /*key=*/i));
-    }
-    if (!q.PushAll(batch)) return;
-    std::size_t got = 0;
-    while (got < kBatch) {
-      got += q.PopBatchFor(kBatch, nanoseconds(1'000'000), out);
-    }
-  };
-  for (int warm = 0; warm < 8; ++warm) cycle();
-  const std::uint64_t before = TotalAllocs();
-  for (int rounds = 0; rounds < 200; ++rounds) cycle();
-  EXPECT_EQ(TotalAllocs() - before, 0u)
-      << "steady-state record hand-off touched the heap";
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(lanes == 1 ? "1 lane" : "2 lanes");
+    FaninLanes<Record> q(kCapacity, lanes);
+    std::vector<Record> batch;
+    std::vector<Record> out;
+    std::size_t lane = 0;
+    const auto cycle = [&] {
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        batch.push_back(MakeRecord<std::uint64_t>(i, /*key=*/i));
+      }
+      if (!q.PushAll(lane, batch)) return;
+      lane = (lane + 1) % lanes;
+      std::size_t got = 0;
+      while (got < kBatch) {
+        got += q.PopBatchFor(kBatch, nanoseconds(1'000'000), out);
+      }
+    };
+    // Each lane's ring has at most kCapacity slots.
+    for (std::size_t warm = 0; warm < 2 * kCapacity * lanes; ++warm) cycle();
+    const std::uint64_t before = TotalAllocs();
+    for (int rounds = 0; rounds < 200; ++rounds) cycle();
+    EXPECT_EQ(TotalAllocs() - before, 0u)
+        << "steady-state record hand-off touched the heap";
+  }
 }
 
 TEST(AllocCounting, EngineMarginalAllocsPerRecordNearZero) {
