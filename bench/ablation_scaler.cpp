@@ -79,7 +79,6 @@ static int Run(int argc, char** argv) {
     config.scaler.scale_up_inactivity_intervals = variant.inactivity;
     config.scaler.scale_down_hysteresis_rounds = variant.hysteresis;
     config.placement = variant.placement;
-    config.batching.queue_wait_fraction = variant.queue_wait_fraction;
 
     PrimeTesterSim pt = BuildPrimeTesterSim(Params(), config);
     const sim::RunResult r = pt.sim->Run(pt.schedule_length);

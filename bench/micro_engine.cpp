@@ -38,7 +38,7 @@
 // saturation scenario -- a full-blast source against a ~200 us/record map
 // (offered load far over capacity, no scaling headroom) under a 5 ms
 // constraint -- run twice: guard off (baseline: queues fill, the constraint
-// silently fails) and guard on (the DESIGN.md §11 ladder sheds at
+// silently fails) and guard on (the DESIGN.md §11 shed controller sheds at
 // admission).  The guard-on row is "exact" when the shed accounting closes:
 // emitted == delivered + shed with zero redelivery.
 //
@@ -345,7 +345,7 @@ Row RunFanin(const char* name, int records, std::size_t queue_capacity,
 // One saturation run for --overload-burst: full-blast source, ~200 us/record
 // map, 5 ms constraint, no elastic headroom.  With `guard` off this is the
 // baseline failure mode (the run simply takes offered/capacity as long and
-// the constraint sits violated); with it on, the overload ladder sheds at
+// the constraint sits violated); with it on, the overload guard sheds at
 // admission and the accounting must close exactly.
 template <typename P>
 Row RunOverloadBurst(const char* name, int records, std::uint32_t batch_capacity,

@@ -5,9 +5,10 @@
 
 namespace esp {
 
-FlushDeadlines ComputeFlushDeadlines(const JobGraph& graph,
+FlushDeadlines ComputeFlushDeadlines(const JobGraph& /*graph*/,
                                      const std::vector<LatencyConstraint>& constraints,
                                      const GlobalSummary& summary,
+                                     double queue_wait_fraction,
                                      const BatchingPolicyOptions& options,
                                      const std::vector<std::uint32_t>& fused_edges) {
   FlushDeadlines deadlines;
@@ -32,7 +33,7 @@ FlushDeadlines ComputeFlushDeadlines(const JobGraph& graph,
 
     const double shipping_budget = ToSeconds(constraint.bound) - task_latency_sum;
     const double batching_budget =
-        (1.0 - options.queue_wait_fraction) * std::max(0.0, shipping_budget);
+        (1.0 - queue_wait_fraction) * std::max(0.0, shipping_budget);
     const double share = options.deadline_safety_factor * batching_budget /
                          static_cast<double>(real_edges);
     const SimDuration share_deadline = std::max(options.min_deadline, FromSeconds(share));
@@ -44,7 +45,6 @@ FlushDeadlines ComputeFlushDeadlines(const JobGraph& graph,
     }
   }
 
-  (void)graph;  // kept in the signature for symmetry with ScaleReactively
   return deadlines;
 }
 

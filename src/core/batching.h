@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/time.h"
+#include "core/scale_reactively.h"
 #include "graph/job_graph.h"
 #include "graph/sequence.h"
 #include "qos/summary.h"
@@ -34,10 +35,6 @@ enum class ShippingStrategy {
 using FlushDeadlines = std::unordered_map<std::uint32_t, SimDuration>;
 
 struct BatchingPolicyOptions {
-  /// Must match ScaleReactivelyOptions::queue_wait_fraction: batching gets
-  /// the complement of the queue-wait share.
-  double queue_wait_fraction = 0.2;
-
   /// Deadlines below this are clamped up; guards against zero/negative
   /// budgets producing busy flush loops.
   SimDuration min_deadline = FromMicros(50);
@@ -53,7 +50,9 @@ struct BatchingPolicyOptions {
 /// per-sequence batching budget is
 ///     (1 - queue_wait_fraction) * (bound - sum of measured task latencies)
 /// split evenly over the sequence's edges; an edge covered by several
-/// constraints receives the tightest deadline.  When the summary lacks task
+/// constraints receives the tightest deadline.  `queue_wait_fraction` is the
+/// scaler's (ScaleReactivelyOptions): batching gets the complement of the
+/// queue-wait share Rebalance plans for.  When the summary lacks task
 /// latencies (job just started), task latencies are assumed 0, yielding
 /// conservative (small) deadlines that only grow as data arrives.
 ///
@@ -62,10 +61,14 @@ struct BatchingPolicyOptions {
 /// has no output buffer to assign a deadline to AND it should not dilute the
 /// budget split -- excluding it hands its share to the remaining real edges,
 /// which is precisely the latency headroom fusion bought.
-FlushDeadlines ComputeFlushDeadlines(const JobGraph& graph,
-                                     const std::vector<LatencyConstraint>& constraints,
-                                     const GlobalSummary& summary,
-                                     const BatchingPolicyOptions& options = {},
-                                     const std::vector<std::uint32_t>& fused_edges = {});
+///
+/// `graph` is unused; it stays because perfbench/cpp/twitter_sim.cpp calls
+/// the three-argument form.
+FlushDeadlines ComputeFlushDeadlines(
+    const JobGraph& graph, const std::vector<LatencyConstraint>& constraints,
+    const GlobalSummary& summary,
+    double queue_wait_fraction = ScaleReactivelyOptions{}.queue_wait_fraction,
+    const BatchingPolicyOptions& options = {},
+    const std::vector<std::uint32_t>& fused_edges = {});
 
 }  // namespace esp

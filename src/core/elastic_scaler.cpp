@@ -17,7 +17,6 @@ std::vector<ScalingAction> ElasticScaler::Adjust(
 
   const ScalingDecision decision =
       ScaleReactively(graph, constraints, summary, options_.strategy);
-  last_outcomes_ = decision.outcomes;
 
   std::vector<ScalingAction> actions;
   for (const auto& [vid, target] : decision.parallelism) {

@@ -63,9 +63,6 @@ class ElasticScaler {
   /// window when any action scaled up.
   void NotifyApplied(const std::vector<ScalingAction>& actions);
 
-  /// Diagnostics of the most recent non-skipped ScaleReactively run.
-  const std::vector<ConstraintOutcome>& last_outcomes() const { return last_outcomes_; }
-
   /// True when the scaler is inside a post-scale-up inactivity window.
   bool IsInactive() const { return inactivity_remaining_ > 0; }
 
@@ -80,7 +77,6 @@ class ElasticScaler {
  private:
   ElasticScalerOptions options_;
   std::uint32_t inactivity_remaining_ = 0;
-  std::vector<ConstraintOutcome> last_outcomes_;
   /// Consecutive rounds each vertex was proposed for shrinking.
   std::unordered_map<std::uint32_t, std::uint32_t> shrink_streak_;
 };

@@ -120,12 +120,6 @@ ScalingDecision ScaleReactively(const JobGraph& graph,
     decision.outcomes.push_back(std::move(outcome));
   }
 
-  for (const auto& [vid, p] : decision.parallelism) {
-    const std::uint32_t current = graph.vertex(JobVertexId{vid}).parallelism;
-    if (p > current) decision.has_scale_up = true;
-    if (p < current) decision.has_scale_down = true;
-  }
-
   return decision;
 }
 

@@ -75,11 +75,6 @@ struct ScalingDecision {
   std::unordered_map<std::uint32_t, std::uint32_t> parallelism;
 
   std::vector<ConstraintOutcome> outcomes;
-
-  /// True when any vertex's target differs upward from current parallelism.
-  bool has_scale_up = false;
-  /// True when any vertex's target differs downward.
-  bool has_scale_down = false;
 };
 
 /// Runs Algorithm 2 against the latest global summary.  Constraints whose

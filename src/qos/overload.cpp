@@ -16,20 +16,6 @@ const char* ToString(ConstraintHealth health) {
   return "?";
 }
 
-const char* ToString(OverloadState state) {
-  switch (state) {
-    case OverloadState::kNormal:
-      return "normal";
-    case OverloadState::kShedding:
-      return "shedding";
-    case OverloadState::kDegraded:
-      return "degraded";
-    case OverloadState::kQuarantine:
-      return "quarantine";
-  }
-  return "?";
-}
-
 ConstraintHealth ClassifyConstraint(double estimate_seconds, double bound_seconds,
                                     const OverloadOptions& options,
                                     const SaturationSignals& signals) {
@@ -50,83 +36,36 @@ ConstraintHealth ClassifyConstraint(double estimate_seconds, double bound_second
 OverloadController::OverloadController(OverloadOptions options)
     : options_(options) {}
 
-void OverloadController::NoteQuarantine() { ++quarantine_depth_; }
-
-void OverloadController::NoteQuarantineResolved() {
-  if (quarantine_depth_ > 0) --quarantine_depth_;
-}
-
-OverloadDecision OverloadController::Tick(ConstraintHealth worst,
-                                          const SaturationSignals& signals) {
-  (void)signals;  // classification already folded saturation into `worst`
+OverloadDecision OverloadController::Tick(ConstraintHealth worst) {
   OverloadDecision d;
-  if (!options_.enabled) {
-    d.state = state();
-    return d;
-  }
+  if (!options_.enabled) return d;
 
   const bool violated = worst == ConstraintHealth::kViolated;
   healthy_streak_ = worst == ConstraintHealth::kHealthy ? healthy_streak_ + 1 : 0;
   violated_streak_ = violated ? violated_streak_ + 1 : 0;
 
-  switch (state_) {
-    case OverloadState::kNormal:
-      if (violated_streak_ >= options_.violated_rounds_to_shed) {
-        state_ = OverloadState::kShedding;
-        shed_ratio_ = std::min(options_.shed_step, options_.max_shed_ratio);
-        shed_ratio_ = std::max(shed_ratio_, options_.min_shed_ratio);
-        at_max_streak_ = 0;
-        d.shed_entered = true;
-      }
-      break;
-
-    case OverloadState::kShedding:
-      if (violated) {
-        // Additive increase toward the ceiling; sitting at the ceiling while
-        // still violated arms the Degraded transition.
-        shed_ratio_ = std::min(shed_ratio_ + options_.shed_step, options_.max_shed_ratio);
-        at_max_streak_ = shed_ratio_ >= options_.max_shed_ratio ? at_max_streak_ + 1 : 0;
-        if (at_max_streak_ >= options_.shedding_rounds_to_degrade) {
-          state_ = OverloadState::kDegraded;
-          d.degraded_entered = true;
-        }
-      } else if (healthy_streak_ >= options_.healthy_exit_rounds) {
-        // Multiplicative decrease; landing under the floor exits shedding.
-        at_max_streak_ = 0;
-        shed_ratio_ *= options_.shed_decay;
-        if (shed_ratio_ < options_.min_shed_ratio) {
-          shed_ratio_ = 0.0;
-          state_ = OverloadState::kNormal;
-          d.shed_exited = true;
-        }
-      } else {
-        // AtRisk (or not-yet-enough healthy rounds): hysteresis -- hold the
-        // ratio steady rather than oscillating on a borderline estimate.
-        at_max_streak_ = 0;
-      }
-      break;
-
-    case OverloadState::kDegraded:
-      if (violated) {
-        shed_ratio_ = options_.max_shed_ratio;
-      } else if (healthy_streak_ >= options_.healthy_exit_rounds) {
-        state_ = OverloadState::kShedding;
-        at_max_streak_ = 0;
-        shed_ratio_ *= options_.shed_decay;
-        d.degraded_exited = true;
-        if (shed_ratio_ < options_.min_shed_ratio) {
-          shed_ratio_ = 0.0;
-          state_ = OverloadState::kNormal;
-          d.shed_exited = true;
-        }
-      }
-      break;
-
-    case OverloadState::kQuarantine:
-      break;  // overlay state; never stored in state_
+  if (!shedding_) {
+    if (violated_streak_ >= options_.violated_rounds_to_shed) {
+      shedding_ = true;
+      shed_ratio_ = std::min(options_.shed_step, options_.max_shed_ratio);
+      shed_ratio_ = std::max(shed_ratio_, options_.min_shed_ratio);
+      d.shed_entered = true;
+    }
+  } else if (violated) {
+    // Additive increase toward the ceiling.
+    shed_ratio_ = std::min(shed_ratio_ + options_.shed_step, options_.max_shed_ratio);
+  } else if (healthy_streak_ >= options_.healthy_exit_rounds) {
+    // Multiplicative decrease; landing under the floor exits shedding.
+    shed_ratio_ *= options_.shed_decay;
+    if (shed_ratio_ < options_.min_shed_ratio) {
+      shed_ratio_ = 0.0;
+      shedding_ = false;
+      d.shed_exited = true;
+    }
   }
+  // Otherwise AtRisk (or not yet enough healthy rounds): hysteresis -- hold
+  // the ratio steady rather than oscillating on a borderline estimate.
 
-  d.state = state();
   d.shed_ratio = shed_ratio_;
   return d;
 }

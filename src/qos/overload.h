@@ -1,5 +1,5 @@
-// Overload protection: SLO watchdog classification, AIMD load shedding and
-// the degradation ladder (DESIGN.md §11).
+// Overload protection: SLO watchdog classification and AIMD load shedding
+// (DESIGN.md §11).
 //
 // Elasticity (core/elastic_scaler.h) is the first line of defence against a
 // violated latency constraint, but it runs out of road: every vertex at
@@ -9,23 +9,17 @@
 // overload guard classifies each constraint from the same
 // EstimateSequenceLatency estimates the scaler uses (plus queue saturation
 // signals), and when a constraint is Violated with no scaling headroom it
-// walks a degradation ladder:
-//
-//   Normal -> Shedding -> Degraded -> (Quarantine overlay)
-//
-// Shedding drops a deterministic, seeded fraction of records at source
-// admission, adapted AIMD-style (additive increase while violated,
-// multiplicative decrease after consecutive healthy rounds).  Degraded
-// additionally widens batch deadlines and thins metric sampling to buy
-// throughput.  Quarantine is an overlay rung raised by the engine while a
-// wedged task is being isolated (engine.cpp QuarantineTask).
+// sheds a deterministic, seeded fraction of records at source admission.
+// The shed ratio adapts AIMD-style: additive increase while violated,
+// multiplicative decrease after consecutive healthy rounds, held steady
+// while at risk.  Wedged tasks are quarantined by the engine's watchdog
+// (engine.cpp QuarantineTask), not by this controller.
 //
 // This module is engine-agnostic and deterministic: one Tick per adjustment
 // interval, pure state machine, unit-tested in tests/overload_test.cpp.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/time.h"
 
@@ -38,16 +32,7 @@ enum class ConstraintHealth : std::uint8_t {
   kViolated,  ///< estimate over the bound
 };
 
-/// Rungs of the degradation ladder.
-enum class OverloadState : std::uint8_t {
-  kNormal,      ///< no intervention
-  kShedding,    ///< probabilistic admission shedding active
-  kDegraded,    ///< shedding at max ratio + widened deadlines + thinned metrics
-  kQuarantine,  ///< a wedged task is being isolated (overlay on any rung)
-};
-
 const char* ToString(ConstraintHealth health);
-const char* ToString(OverloadState state);
 
 /// Knobs for the watchdog + shed controller (LocalEngineOptions::overload).
 struct OverloadOptions {
@@ -70,26 +55,17 @@ struct OverloadOptions {
   /// Multiplicative decrease applied after healthy_exit_rounds consecutive
   /// healthy rounds.
   double shed_decay = 0.5;
-  /// Ceiling for the shed ratio; reaching it arms the Degraded transition.
+  /// Ceiling for the shed ratio.
   double max_shed_ratio = 0.9;
   /// Floor: a decay that lands below this exits shedding entirely.
   double min_shed_ratio = 0.02;
 
-  // ---- ladder hysteresis -------------------------------------------------
+  // ---- hysteresis --------------------------------------------------------
   /// Consecutive Violated-with-no-headroom rounds before shedding starts.
   std::uint32_t violated_rounds_to_shed = 1;
   /// Consecutive Healthy rounds before the ratio decays (and eventually
   /// exits).  AtRisk rounds freeze the ratio: neither increase nor decay.
   std::uint32_t healthy_exit_rounds = 2;
-  /// Consecutive violated rounds AT max_shed_ratio before entering Degraded.
-  std::uint32_t shedding_rounds_to_degrade = 3;
-
-  // ---- Degraded actuation ------------------------------------------------
-  /// Multiplier applied to adaptive flush deadlines while Degraded.
-  double degraded_deadline_factor = 4.0;
-  /// While Degraded only every N-th record feeds the service-time/latency
-  /// samplers (counters stay exact); 1 = no thinning.
-  std::uint32_t degraded_metric_stride = 8;
 
   /// Seed for the per-source shed RNGs -- shedding decisions are a
   /// deterministic function of this seed and the admission stream.
@@ -98,11 +74,6 @@ struct OverloadOptions {
 
 /// Saturation signals the engine folds into classification each round.
 struct SaturationSignals {
-  /// True when the scaler could still add parallelism somewhere in a
-  /// violated constraint's sequence (enabled, not suppressed, and some
-  /// elastic vertex below max_parallelism).  With headroom the scaler owns
-  /// the response and the shed controller stays out of the way.
-  bool scaler_headroom = false;
   /// Max input-queue fill fraction across tasks (0..1).
   double max_queue_fill = 0.0;
   /// Growth of the total queued-record count since the previous round,
@@ -120,16 +91,13 @@ ConstraintHealth ClassifyConstraint(double estimate_seconds, double bound_second
 
 /// What one controller round decided; the engine actuates it.
 struct OverloadDecision {
-  OverloadState state = OverloadState::kNormal;
   double shed_ratio = 0.0;  ///< admission drop probability, 0..max_shed_ratio
   bool shed_entered = false;
   bool shed_exited = false;
-  bool degraded_entered = false;
-  bool degraded_exited = false;
 };
 
-/// The degradation-ladder state machine.  Control-thread only; one Tick per
-/// adjustment interval.
+/// The AIMD shed-ratio controller: two states (shedding or not) with
+/// hysteresis.  Control-thread only; one Tick per adjustment interval.
 class OverloadController {
  public:
   explicit OverloadController(OverloadOptions options = {});
@@ -137,28 +105,18 @@ class OverloadController {
   /// One adjustment round.  `worst` is the fold over all constraints of the
   /// watchdog verdicts, where Violated means violated WITHOUT scaling
   /// headroom (a violation the scaler can still fix is passed as AtRisk so
-  /// the ladder holds steady while the scaler works).
-  OverloadDecision Tick(ConstraintHealth worst, const SaturationSignals& signals);
+  /// the ratio holds steady while the scaler works).
+  OverloadDecision Tick(ConstraintHealth worst);
 
-  /// Quarantine overlay: raised while the engine isolates a wedged task,
-  /// lowered once the replacement epoch is live.  Nested raises stack.
-  void NoteQuarantine();
-  void NoteQuarantineResolved();
-
-  OverloadState state() const {
-    return quarantine_depth_ > 0 ? OverloadState::kQuarantine : state_;
-  }
   double shed_ratio() const { return shed_ratio_; }
   const OverloadOptions& options() const { return options_; }
 
  private:
   OverloadOptions options_;
-  OverloadState state_ = OverloadState::kNormal;
+  bool shedding_ = false;
   double shed_ratio_ = 0.0;
   std::uint32_t violated_streak_ = 0;
   std::uint32_t healthy_streak_ = 0;
-  std::uint32_t at_max_streak_ = 0;
-  std::uint32_t quarantine_depth_ = 0;
 };
 
 }  // namespace esp

@@ -20,6 +20,7 @@
 // thread counts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,10 +50,24 @@ struct ChainMetricStaging {
   std::uint64_t delivered = 0;  ///< sink members: records consumed this batch
   /// Lifetime record count; drives the kChainTimingInterval cadence.
   std::uint64_t count = 0;
-  std::vector<double> service;       ///< sampled segment service times (s)
-  std::vector<double> sink_latency;  ///< sink members: end-to-end latencies (s)
+  std::vector<double> service;  ///< sampled segment service times (s)
+  /// Sink members, one entry per record consumed: entries before
+  /// `sink_ended` are source-to-sink latencies (ns), later ones are the
+  /// records' source stamps still waiting for EndRecords.
+  std::vector<std::int64_t> sink_latency_ns;
+  std::size_t sink_ended = 0;
 
   bool empty() const noexcept ESP_NONBLOCKING { return arrivals == 0; }
+
+  /// Ends the records staged since the last call at `end_ns`, the head's
+  /// clock read after the UDF call that delivered them.  Clamped at 0 so a
+  /// late stamp cannot drop a sample from the latency histogram.
+  void EndRecords(std::int64_t end_ns) noexcept ESP_NONBLOCKING {
+    for (; sink_ended < sink_latency_ns.size(); ++sink_ended) {
+      std::int64_t& v = sink_latency_ns[sink_ended];
+      v = std::max<std::int64_t>(0, end_ns - v);
+    }
+  }
 
   /// Clears one batch's staging; `count` survives (it paces the sampling
   /// cadence across batches, not within one).
@@ -60,7 +75,8 @@ struct ChainMetricStaging {
     arrivals = 0;
     delivered = 0;
     service.clear();
-    sink_latency.clear();
+    sink_latency_ns.clear();
+    sink_ended = 0;
   }
 };
 

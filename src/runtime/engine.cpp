@@ -167,8 +167,6 @@ struct LocalEngine::LocalTask {
   // thanks to the 1 ms pop timeout), read by the watchdog.  Non-empty queue
   // + stale heartbeat = wedged.
   std::atomic<std::int64_t> last_progress_ns{0};
-  // Degraded-mode metric thinning counter.
-  std::uint64_t metric_seq ESP_GUARDED_BY(sampler_mutex) = 0;
   std::size_t last_failure_index = static_cast<std::size_t>(-1);  // failure_mutex_
   bool abandoned = false;  ///< reported stuck at teardown (control thread only)
   FaultBinding fault;
@@ -197,7 +195,13 @@ class LocalEngine::RoutingCollector final : public Collector {
   /// record (0 = none); the emission path then skips its own clock read.
   /// The hint is at most one UDF invocation old, far below the microsecond+
   /// granularity of the batching deadlines and latency metrics it feeds.
-  void SetNowHint(std::int64_t now_ns) { now_hint_ns_ = now_ns; }
+  /// `lineage_ns` is the source_emit_ns of the input record being processed
+  /// (0 = none): a record the UDF builds fresh inherits it, so the sink's
+  /// latency runs from the source, not from the last hop.
+  void SetNowHint(std::int64_t now_ns, std::int64_t lineage_ns = 0) {
+    now_hint_ns_ = now_ns;
+    lineage_ns_ = lineage_ns;
+  }
 
   // ESP_NONALLOCATING, not nonblocking: routing legitimately takes the
   // lock-striped channel mutex (and the fused path runs the downstream UDF
@@ -211,7 +215,9 @@ class LocalEngine::RoutingCollector final : public Collector {
     }
     const std::int64_t now = now_hint_ns_ != 0 ? now_hint_ns_ : engine_->NowNs();
     last_now_ns_ = now;  // lent to FlushDue's not-due precheck
-    if (record.source_emit_ns == 0) record.source_emit_ns = now;
+    if (record.source_emit_ns == 0) {
+      record.source_emit_ns = lineage_ns_ != 0 ? lineage_ns_ : now;
+    }
     ++emitted_;
 
     // Admission shedding (sources only): the overload guard's shed ratio is
@@ -273,6 +279,7 @@ class LocalEngine::RoutingCollector final : public Collector {
   LocalTask* task_;
   std::uint64_t emitted_ = 0;
   std::int64_t now_hint_ns_ = 0;
+  std::int64_t lineage_ns_ = 0;
   std::int64_t last_now_ns_ = 0;
 };
 
@@ -653,30 +660,23 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
   // covers exactly the completed prefix so redelivery cannot double-count.
   const auto post_batch_metrics = [&](std::size_t count) {
     std::uint64_t delivered = 0;
-    // Degraded-rung metric thinning: only every stride-th record feeds the
-    // service-time/latency samplers.  The delivered counter and the sink
-    // latency shard stay exact -- thinning trades model fidelity for
-    // throughput, never accounting accuracy.
-    const std::uint32_t stride = metric_stride_.load(std::memory_order_relaxed);
     {
       MutexLock lock(task->sampler_mutex);
       for (std::size_t i = 0; i < count; ++i) {
-        if (stride <= 1 || ++task->metric_seq % stride == 0) {
-          const double service = static_cast<double>(end_ns[i] - start_ns[i]) * 1e-9;
-          task->sampler.RecordServiceTime(service);
-          if (task->latency_mode == LatencyMode::kReadReady) {
-            task->sampler.OfferTaskLatency(service);
-          } else {
-            if (task->rw_pending.size() < 256 &&
-                task->rng.Bernoulli(options_.latency_sample_probability)) {
-              task->rw_pending.push_back(start_ns[i]);
+        const double service = static_cast<double>(end_ns[i] - start_ns[i]) * 1e-9;
+        task->sampler.RecordServiceTime(service);
+        if (task->latency_mode == LatencyMode::kReadReady) {
+          task->sampler.OfferTaskLatency(service);
+        } else {
+          if (task->rw_pending.size() < 256 &&
+              task->rng.Bernoulli(options_.latency_sample_probability)) {
+            task->rw_pending.push_back(start_ns[i]);
+          }
+          if (emitted_any[i]) {
+            for (std::int64_t t : task->rw_pending) {
+              task->sampler.OfferTaskLatency(static_cast<double>(end_ns[i] - t) * 1e-9);
             }
-            if (emitted_any[i]) {
-              for (std::int64_t t : task->rw_pending) {
-                task->sampler.OfferTaskLatency(static_cast<double>(end_ns[i] - t) * 1e-9);
-              }
-              task->rw_pending.clear();
-            }
+            task->rw_pending.clear();
           }
         }
         if (task->is_sink && batch[i].record.source_emit_ns != 0) {
@@ -766,6 +766,11 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
       }
       m->next_timer_ns += entry.second;
     }
+    // Records a timer handed to a fused sink end now, not at the next batch.
+    if (timer_fired && !task->chain_members.empty()) {
+      const std::int64_t t = NowNs();
+      for (LocalTask* m : task->chain_members) m->chain_stage.EndRecords(t);
+    }
 
     if (n == 0) {
       FlushDue(task, now);
@@ -854,12 +859,14 @@ void LocalEngine::RunUdfBatch(LocalTask* task, RoutingCollector& collector,
       task->fault.TickRecord(task->vertex_name, task->id.subtask);
       ESP_EFFECTS_ESCAPE_END
     }
-    collector.SetNowHint(t_prev);  // Emit reuses this read, skips its own
+    // Emit reuses this read, skips its own; fresh records inherit lineage.
+    collector.SetNowHint(t_prev, batch[i].record.source_emit_ns);
     ESP_EFFECTS_ESCAPE_BEGIN  // the UDF body's effects are the UDF author's contract, not the engine's
     task->udf->OnRecord(batch[i].record, collector);
     ESP_EFFECTS_ESCAPE_END
     t_prev = NowNs();
     end_ns[i] = t_prev;
+    for (LocalTask* m : task->chain_members) m->chain_stage.EndRecords(t_prev);
     emitted_any[i] = collector.TakeEmitted() > 0;
     processed = i + 1;
   }
@@ -867,10 +874,11 @@ void LocalEngine::RunUdfBatch(LocalTask* task, RoutingCollector& collector,
 
 // Runs one record through a fused member's UDF on the chain head's thread.
 // The steady-state path adds ZERO clock reads: the head's now-hint is reused
-// for batching deadlines and sink latency, and service time is only measured
-// on every kChainTimingInterval-th record (chain.h).  Metric attribution is
-// staged lock-free in the member's ChainMetricStaging; FlushChainMetrics
-// publishes it once per head batch.
+// for batching deadlines, a fused sink's latency ends at the head's own
+// per-record clock read (ChainMetricStaging::EndRecords), and service time is
+// only measured on every kChainTimingInterval-th record (chain.h).  Metric
+// attribution is staged lock-free in the member's ChainMetricStaging;
+// FlushChainMetrics publishes it once per head batch.
 void LocalEngine::ChainInvoke(LocalTask* member, Record record,
                               std::int64_t now_hint_ns) ESP_NONALLOCATING {
   ChainMetricStaging& stage = member->chain_stage;
@@ -886,7 +894,7 @@ void LocalEngine::ChainInvoke(LocalTask* member, Record record,
     if (stage.count % kChainTimingInterval == 0) {
       // Sampled segment timing: two clock reads amortized over the interval.
       const std::int64_t t0 = NowNs();
-      out.SetNowHint(t0);
+      out.SetNowHint(t0, record.source_emit_ns);
       ESP_EFFECTS_ESCAPE_BEGIN  // the fused UDF body's effects are the UDF author's contract, not the engine's
       member->udf->OnRecord(record, out);
       ESP_EFFECTS_ESCAPE_END
@@ -894,7 +902,7 @@ void LocalEngine::ChainInvoke(LocalTask* member, Record record,
       stage.service.push_back(static_cast<double>(NowNs() - t0) * 1e-9);
       ESP_EFFECTS_ESCAPE_END
     } else {
-      out.SetNowHint(now_hint_ns);
+      out.SetNowHint(now_hint_ns, record.source_emit_ns);
       ESP_EFFECTS_ESCAPE_BEGIN  // the fused UDF body's effects are the UDF author's contract, not the engine's
       member->udf->OnRecord(record, out);
       ESP_EFFECTS_ESCAPE_END
@@ -912,12 +920,13 @@ void LocalEngine::ChainInvoke(LocalTask* member, Record record,
   }
   // Delivery is staged only AFTER the member's UDF succeeded: a fused sink
   // that throws salvages the record for replay, and counting it here too
-  // would double-count on the second (successful) pass.
+  // would double-count on the second (successful) pass.  The latency is
+  // not ended here: `now_hint_ns` predates the upstream UDFs that ran for
+  // this record, so it would leave their run time out.
   if (member->is_sink && record.source_emit_ns != 0) {
     ++stage.delivered;
     ESP_EFFECTS_ESCAPE_BEGIN  // staging vectors reach steady capacity after warm-up; growth is a cold edge
-    stage.sink_latency.push_back(
-        static_cast<double>(now_hint_ns - record.source_emit_ns) * 1e-9);
+    stage.sink_latency_ns.push_back(record.source_emit_ns);
     ESP_EFFECTS_ESCAPE_END
   }
 }
@@ -940,7 +949,10 @@ void LocalEngine::FlushChainMetrics(LocalTask* head, std::int64_t now_ns) {
         m->sampler.RecordServiceTime(s);
         m->sampler.OfferTaskLatency(s);
       }
-      for (double l : stage.sink_latency) m->latency_shard.Add(l);
+      stage.EndRecords(now_ns);  // timer and failure paths leave some open
+      for (std::int64_t l : stage.sink_latency_ns) {
+        m->latency_shard.Add(static_cast<double>(l) * 1e-9);
+      }
     }
     if (stage.delivered > 0) {
       m->delivered_n.fetch_add(stage.delivered, std::memory_order_relaxed);
@@ -1732,9 +1744,7 @@ bool LocalEngine::QuarantineTask(LocalTask* task) {
     task->queue->Close();
   }
   restart_state_[key].next_restart_ns = now + NextBackoff(restart_state_[key].count);
-  overload_.NoteQuarantine();
   const bool rebuilt = RebuildEpoch({}, task);
-  overload_.NoteQuarantineResolved();
   if (rebuilt) {
     ++result_.restarts;
     restart_state_[key].next_restart_ns = 0;
@@ -1775,8 +1785,8 @@ void LocalEngine::OverloadTick(const std::vector<double>& estimates) {
 
   // Fold per-constraint health.  A violation the scaler can still fix
   // (enabled, not suppressed, some elastic vertex in the sequence below its
-  // max) is passed to the ladder as AtRisk: elasticity is the first-line
-  // response and shedding must not pre-empt it.
+  // max) is passed to the shed controller as AtRisk: elasticity is the
+  // first-line response and shedding must not pre-empt it.
   const bool scaler_live = options_.scaler.enabled && !scaler_.IsInactive();
   const auto rank = [](ConstraintHealth h) { return static_cast<int>(h); };
   ConstraintHealth worst = ConstraintHealth::kHealthy;
@@ -1796,10 +1806,7 @@ void LocalEngine::OverloadTick(const std::vector<double>& estimates) {
           }
         }
       }
-      if (headroom) {
-        sig.scaler_headroom = true;
-        h = ConstraintHealth::kAtRisk;
-      }
+      if (headroom) h = ConstraintHealth::kAtRisk;
     }
     if (rank(h) > rank(worst)) {
       worst = h;
@@ -1807,15 +1814,9 @@ void LocalEngine::OverloadTick(const std::vector<double>& estimates) {
     }
   }
 
-  const OverloadDecision d = overload_.Tick(worst, sig);
+  const OverloadDecision d = overload_.Tick(worst);
   shed_ratio_ppm_.store(static_cast<std::uint32_t>(d.shed_ratio * 1e6),
                         std::memory_order_relaxed);
-  metric_stride_.store(d.state == OverloadState::kDegraded
-                           ? std::max<std::uint32_t>(1, oo.degraded_metric_stride)
-                           : 1,
-                       std::memory_order_relaxed);
-  deadline_factor_ =
-      d.state == OverloadState::kDegraded ? oo.degraded_deadline_factor : 1.0;
   if (d.shed_ratio > 0.0) ++result_.shed_windows;
 
   const std::string where =
@@ -1850,12 +1851,6 @@ void LocalEngine::OverloadTick(const std::vector<double>& estimates) {
     ev.recovered = true;
     failures_.push_back(std::move(ev));
   }
-  if (d.degraded_entered) {
-    ESP_LOG_WARN << "overload: entering Degraded (deadlines x"
-                 << oo.degraded_deadline_factor << ", metric stride "
-                 << oo.degraded_metric_stride << ")";
-  }
-  if (d.degraded_exited) ESP_LOG_INFO << "overload: leaving Degraded";
 }
 
 // ------------------------------------------------------------ control loop
@@ -1968,22 +1963,15 @@ EngineResult LocalEngine::Run(SimDuration max_duration) {
     result_.estimated_latency.push_back(std::move(estimates));
 
     // One overload round per adjustment interval: classify, tick the
-    // ladder, actuate (shed ratio, metric stride, deadline factor).
+    // shed controller, actuate the shed ratio.
     OverloadTick(result_.estimated_latency.back());
 
     if (options_.shipping == ShippingStrategy::kAdaptive && !constraints_.empty()) {
-      last_deadlines_ = ComputeFlushDeadlines(graph_, constraints_, last_summary_,
-                                              options_.batching, chained_edge_list_);
-      for (const auto& [edge, deadline] : last_deadlines_) {
-        // Degraded rung: widen flush deadlines to trade batching latency
-        // for throughput while the engine digs out.
-        const SimDuration widened =
-            deadline_factor_ == 1.0
-                ? deadline
-                : static_cast<SimDuration>(static_cast<double>(deadline) *
-                                           deadline_factor_);
-        edge_deadlines_[edge].store(widened);
-      }
+      const FlushDeadlines deadlines = ComputeFlushDeadlines(
+          graph_, constraints_, last_summary_,
+          options_.scaler.strategy.queue_wait_fraction, options_.batching,
+          chained_edge_list_);
+      for (const auto& [edge, deadline] : deadlines) edge_deadlines_[edge].store(deadline);
       for (auto& channel : channels_) {
         channel->flush_deadline.store(FlushDeadlineForEdge(channel->edge),
                                       std::memory_order_relaxed);

@@ -94,8 +94,8 @@ struct LocalEngineOptions {
   bool chaining = true;
   /// Optional fault-injection harness (non-owning; must outlive Run).
   FaultInjector* fault_injector = nullptr;
-  /// Overload protection: SLO watchdog + AIMD load shedding + degradation
-  /// ladder (qos/overload.h, DESIGN.md §11).  Off by default; when enabled
+  /// Overload protection: SLO watchdog + AIMD load shedding
+  /// (qos/overload.h, DESIGN.md §11).  Off by default; when enabled
   /// the engine sheds at source admission once a constraint is Violated with
   /// no scaling headroom, and quarantines wedged tasks within
   /// overload.wedge_deadline.
@@ -122,7 +122,7 @@ struct FailureEvent {
   std::string what;        ///< exception message
   bool recovered = false;  ///< true once the supervisor restarted the task
   /// What the supervisor did (kRestart/kQuarantine) or, for overload events,
-  /// which ladder transition the event records (kShedEnter/kShedExit).
+  /// which shed transition the event records (kShedEnter/kShedExit).
   FailureAction action = FailureAction::kNone;
 
   std::string Format() const {
@@ -325,8 +325,8 @@ class LocalEngine {
   // ---- overload guard (control thread only) ------------------------------
   /// One watchdog + shed-controller round per adjustment interval:
   /// classifies every constraint (estimates + saturation signals), ticks the
-  /// degradation ladder, and actuates the decision (shed ratio, metric
-  /// stride, deadline factor, shed-enter/exit events).
+  /// shed controller, and actuates the decision (shed ratio, shed-enter/exit
+  /// events).
   void OverloadTick(const std::vector<double>& estimates);
   /// Scans for a task whose loop made no progress for wedge_deadline while
   /// its input queue is non-empty.  Returns the MOST DOWNSTREAM such task
@@ -379,7 +379,6 @@ class LocalEngine {
   ElasticScaler scaler_;
   GlobalSummary last_summary_;
   std::unordered_map<std::uint32_t, std::atomic<SimDuration>> edge_deadlines_;
-  FlushDeadlines last_deadlines_;
   /// Raw JobEdgeIds fused in the CURRENT epoch (control thread only):
   /// excluded from the adaptive flush-deadline split, so the latency
   /// headroom fusion buys flows to the remaining real edges.
@@ -417,17 +416,11 @@ class LocalEngine {
   std::vector<std::pair<TaskId, std::vector<Envelope>>> salvage_;
 
   // ---- overload guard state ----------------------------------------------
-  /// Ladder state machine; ticked once per adjustment interval.
+  /// AIMD shed controller; ticked once per adjustment interval.
   OverloadController overload_;
   /// Current admission-shed probability in parts-per-million, written by
   /// OverloadTick and read lock-free by source threads in Emit.
   std::atomic<std::uint32_t> shed_ratio_ppm_{0};
-  /// Degraded metric thinning: only every N-th record feeds the samplers
-  /// (1 = exact).  Read by task threads in the post-batch metric pass.
-  std::atomic<std::uint32_t> metric_stride_{1};
-  /// Degraded deadline widening applied to the adaptive flush deadlines
-  /// computed each adjustment round.  Control thread only.
-  double deadline_factor_ = 1.0;
   /// Backlog (total queued records) of the previous adjustment round, for
   /// the growth-rate saturation signal.  Control thread only.
   std::uint64_t last_backlog_ = 0;

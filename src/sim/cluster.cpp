@@ -1013,8 +1013,9 @@ void ClusterSimulation::OnAdjustmentTick() {
   }
 
   if (config_.shipping == ShippingStrategy::kAdaptive && !constraints_.empty()) {
-    flush_deadlines_ =
-        ComputeFlushDeadlines(graph_, constraints_, last_summary_, config_.batching);
+    flush_deadlines_ = ComputeFlushDeadlines(graph_, constraints_, last_summary_,
+                                             config_.scaler.strategy.queue_wait_fraction,
+                                             config_.batching);
   }
 
   if (config_.scaler.enabled && !constraints_.empty()) {
@@ -1122,8 +1123,9 @@ RunResult ClusterSimulation::Run(SimDuration duration) {
   RebuildAllRouting();
 
   if (config_.shipping == ShippingStrategy::kAdaptive && !constraints_.empty()) {
-    flush_deadlines_ =
-        ComputeFlushDeadlines(graph_, constraints_, GlobalSummary{}, config_.batching);
+    flush_deadlines_ = ComputeFlushDeadlines(graph_, constraints_, GlobalSummary{},
+                                             config_.scaler.strategy.queue_wait_fraction,
+                                             config_.batching);
   }
 
   // Adjustment ticks trail measurement ticks by 1 ms so a summary built at

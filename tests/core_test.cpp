@@ -294,8 +294,8 @@ TEST(ScaleReactively, UsesRebalanceWhenHealthy) {
   ASSERT_EQ(decision.outcomes.size(), 1u);
   EXPECT_EQ(decision.outcomes[0].action, ConstraintAction::kRebalanced);
   EXPECT_NEAR(decision.outcomes[0].wait_budget, 0.2 * 0.149, 1e-12);
-  EXPECT_TRUE(decision.has_scale_down);
-  EXPECT_LT(decision.parallelism.at(Value(pipe.workers[0])), 40u);
+  EXPECT_LT(decision.parallelism.at(Value(pipe.workers[0])),
+            pipe.graph.vertex(pipe.workers[0]).parallelism);
 }
 
 TEST(ScaleReactively, UsesResolveBottlenecksUnderOverload) {
@@ -304,7 +304,8 @@ TEST(ScaleReactively, UsesResolveBottlenecksUnderOverload) {
                                         pipe.summary, {});
   EXPECT_EQ(decision.outcomes[0].action, ConstraintAction::kBottleneckResolved);
   EXPECT_EQ(decision.parallelism.at(Value(pipe.workers[0])), 8u);
-  EXPECT_TRUE(decision.has_scale_up);
+  EXPECT_GT(decision.parallelism.at(Value(pipe.workers[0])),
+            pipe.graph.vertex(pipe.workers[0]).parallelism);
 }
 
 TEST(ScaleReactively, ReportsStuckBottleneck) {
@@ -373,7 +374,7 @@ TEST(BatchingPolicy, FusedEdgesAreExcludedFromTheBudgetSplit) {
   Pipeline pipe({{80.0, 0.010, 1.0, 1.0, 4, 1, 64, true, 0.002}});
   const auto constraint = pipe.Constraint(FromMillis(22));
   const FlushDeadlines deadlines =
-      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, {}, {1});
+      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, 0.2, {}, {1});
   ASSERT_EQ(deadlines.size(), 1u);
   EXPECT_EQ(deadlines.count(1), 0u);
   EXPECT_EQ(deadlines.at(0), FromMillis(12));
@@ -394,7 +395,7 @@ TEST(BatchingPolicy, ClampsToMinimumDeadline) {
   BatchingPolicyOptions opts;
   opts.min_deadline = FromMicros(100);
   const FlushDeadlines deadlines =
-      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, opts);
+      ComputeFlushDeadlines(pipe.graph, {constraint}, pipe.summary, 0.2, opts);
   EXPECT_EQ(deadlines.at(0), FromMicros(100));
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for the overload guard (DESIGN.md §11): watchdog
-// classification, the AIMD shed controller / degradation ladder, and the
+// classification, the AIMD shed controller, and the
 // QosManager recovery-hygiene interaction with quarantine -- stale estimates
 // from a quarantined vertex must never trigger shedding on healthy
 // constraints.
@@ -67,14 +67,13 @@ TEST(ClassifyConstraint, NoDataIsHealthyUnlessSaturated) {
 }
 
 // ---------------------------------------------------------------------------
-// OverloadController: the degradation ladder
+// OverloadController: the AIMD shed controller
 // ---------------------------------------------------------------------------
 
 TEST(OverloadController, DisabledControllerNeverSheds) {
   OverloadController c;  // default options: enabled = false
   for (int i = 0; i < 10; ++i) {
-    const OverloadDecision d = c.Tick(ConstraintHealth::kViolated, {});
-    EXPECT_EQ(d.state, OverloadState::kNormal);
+    const OverloadDecision d = c.Tick(ConstraintHealth::kViolated);
     EXPECT_DOUBLE_EQ(d.shed_ratio, 0.0);
     EXPECT_FALSE(d.shed_entered);
   }
@@ -84,10 +83,10 @@ TEST(OverloadController, EntersSheddingAfterViolatedRounds) {
   OverloadOptions o = EnabledOptions();
   o.violated_rounds_to_shed = 2;
   OverloadController c(o);
-  OverloadDecision d = c.Tick(ConstraintHealth::kViolated, {});
-  EXPECT_EQ(d.state, OverloadState::kNormal);  // one round is not enough
-  d = c.Tick(ConstraintHealth::kViolated, {});
-  EXPECT_EQ(d.state, OverloadState::kShedding);
+  OverloadDecision d = c.Tick(ConstraintHealth::kViolated);
+  EXPECT_FALSE(d.shed_entered);  // one round is not enough
+  EXPECT_DOUBLE_EQ(d.shed_ratio, 0.0);
+  d = c.Tick(ConstraintHealth::kViolated);
   EXPECT_TRUE(d.shed_entered);
   EXPECT_DOUBLE_EQ(d.shed_ratio, o.shed_step);
 }
@@ -96,17 +95,18 @@ TEST(OverloadController, HealthyRoundResetsViolatedStreak) {
   OverloadOptions o = EnabledOptions();
   o.violated_rounds_to_shed = 2;
   OverloadController c(o);
-  c.Tick(ConstraintHealth::kViolated, {});
-  c.Tick(ConstraintHealth::kHealthy, {});  // streak broken
-  const OverloadDecision d = c.Tick(ConstraintHealth::kViolated, {});
-  EXPECT_EQ(d.state, OverloadState::kNormal);
+  c.Tick(ConstraintHealth::kViolated);
+  c.Tick(ConstraintHealth::kHealthy);  // streak broken
+  const OverloadDecision d = c.Tick(ConstraintHealth::kViolated);
+  EXPECT_FALSE(d.shed_entered);
+  EXPECT_DOUBLE_EQ(d.shed_ratio, 0.0);
 }
 
 TEST(OverloadController, AdditiveIncreaseCapsAtCeiling) {
   OverloadController c(EnabledOptions());
   double prev = 0.0;
   for (int i = 0; i < 6; ++i) {
-    const OverloadDecision d = c.Tick(ConstraintHealth::kViolated, {});
+    const OverloadDecision d = c.Tick(ConstraintHealth::kViolated);
     EXPECT_GE(d.shed_ratio, prev);
     EXPECT_LE(d.shed_ratio, c.options().max_shed_ratio);
     prev = d.shed_ratio;
@@ -116,88 +116,48 @@ TEST(OverloadController, AdditiveIncreaseCapsAtCeiling) {
 
 TEST(OverloadController, AtRiskFreezesRatio) {
   OverloadController c(EnabledOptions());
-  c.Tick(ConstraintHealth::kViolated, {});  // enter shedding at shed_step
+  c.Tick(ConstraintHealth::kViolated);  // enter shedding at shed_step
   const double entered = c.shed_ratio();
   for (int i = 0; i < 5; ++i) {
-    const OverloadDecision d = c.Tick(ConstraintHealth::kAtRisk, {});
-    EXPECT_EQ(d.state, OverloadState::kShedding);
+    const OverloadDecision d = c.Tick(ConstraintHealth::kAtRisk);
+    EXPECT_FALSE(d.shed_exited);
     EXPECT_DOUBLE_EQ(d.shed_ratio, entered);  // hysteresis: hold steady
   }
 }
 
 TEST(OverloadController, HealthyRoundsDecayAndExit) {
   OverloadController c(EnabledOptions());
-  c.Tick(ConstraintHealth::kViolated, {});  // ratio = 0.15
+  c.Tick(ConstraintHealth::kViolated);  // ratio = 0.15
   // healthy_exit_rounds = 2: the first healthy round only builds the streak.
-  OverloadDecision d = c.Tick(ConstraintHealth::kHealthy, {});
+  OverloadDecision d = c.Tick(ConstraintHealth::kHealthy);
   EXPECT_DOUBLE_EQ(d.shed_ratio, 0.15);
-  d = c.Tick(ConstraintHealth::kHealthy, {});  // decay: 0.075
+  d = c.Tick(ConstraintHealth::kHealthy);  // decay: 0.075
   EXPECT_NEAR(d.shed_ratio, 0.075, 1e-12);
-  EXPECT_EQ(d.state, OverloadState::kShedding);
-  d = c.Tick(ConstraintHealth::kHealthy, {});  // 0.0375
-  EXPECT_EQ(d.state, OverloadState::kShedding);
-  d = c.Tick(ConstraintHealth::kHealthy, {});  // 0.01875 < min 0.02 -> exit
-  EXPECT_EQ(d.state, OverloadState::kNormal);
+  EXPECT_FALSE(d.shed_exited);
+  d = c.Tick(ConstraintHealth::kHealthy);  // 0.0375
+  EXPECT_FALSE(d.shed_exited);
+  d = c.Tick(ConstraintHealth::kHealthy);  // 0.01875 < min 0.02 -> exit
   EXPECT_TRUE(d.shed_exited);
   EXPECT_DOUBLE_EQ(d.shed_ratio, 0.0);
 }
 
-TEST(OverloadController, DegradedAfterSustainedViolationAtMax) {
+TEST(OverloadController, SustainedViolationHoldsTheCeilingThenDecays) {
   OverloadController c(EnabledOptions());
-  // 0.15 -> 0.30 -> ... -> 0.90 (round 6), then shedding_rounds_to_degrade=3
-  // rounds at the ceiling arm Degraded.
-  OverloadDecision d;
-  bool entered_degraded = false;
-  for (int i = 0; i < 8; ++i) {
-    d = c.Tick(ConstraintHealth::kViolated, {});
-    entered_degraded |= d.degraded_entered;
+  // 0.15 -> 0.30 -> ... -> 0.90 at round 6.
+  for (int i = 0; i < 6; ++i) c.Tick(ConstraintHealth::kViolated);
+  ASSERT_DOUBLE_EQ(c.shed_ratio(), c.options().max_shed_ratio);
+  // Violation that shedding cannot cure: the ratio stays at the ceiling and
+  // nothing else happens -- there is no rung above shedding.
+  for (int i = 0; i < 12; ++i) {
+    const OverloadDecision d = c.Tick(ConstraintHealth::kViolated);
+    EXPECT_DOUBLE_EQ(d.shed_ratio, c.options().max_shed_ratio);
+    EXPECT_FALSE(d.shed_entered);
+    EXPECT_FALSE(d.shed_exited);
   }
-  EXPECT_TRUE(entered_degraded);
-  EXPECT_EQ(d.state, OverloadState::kDegraded);
-  EXPECT_DOUBLE_EQ(d.shed_ratio, c.options().max_shed_ratio);
-}
-
-TEST(OverloadController, DegradedExitStepsBackToShedding) {
-  OverloadController c(EnabledOptions());
-  for (int i = 0; i < 8; ++i) c.Tick(ConstraintHealth::kViolated, {});
-  ASSERT_EQ(c.state(), OverloadState::kDegraded);
-  c.Tick(ConstraintHealth::kHealthy, {});
-  const OverloadDecision d = c.Tick(ConstraintHealth::kHealthy, {});
-  EXPECT_TRUE(d.degraded_exited);
-  EXPECT_EQ(d.state, OverloadState::kShedding);  // one rung down, not Normal
-  EXPECT_NEAR(d.shed_ratio, 0.45, 1e-12);        // 0.9 * shed_decay
-}
-
-TEST(OverloadController, DegradedExitCascadesToNormalWhenDecayUndershoots) {
-  OverloadOptions o = EnabledOptions();
-  o.min_shed_ratio = 0.5;  // 0.9 * 0.5 = 0.45 < floor: straight to Normal
-  OverloadController c(o);
-  for (int i = 0; i < 8; ++i) c.Tick(ConstraintHealth::kViolated, {});
-  ASSERT_EQ(c.state(), OverloadState::kDegraded);
-  c.Tick(ConstraintHealth::kHealthy, {});
-  const OverloadDecision d = c.Tick(ConstraintHealth::kHealthy, {});
-  EXPECT_TRUE(d.degraded_exited);
-  EXPECT_TRUE(d.shed_exited);
-  EXPECT_EQ(d.state, OverloadState::kNormal);
-  EXPECT_DOUBLE_EQ(d.shed_ratio, 0.0);
-}
-
-TEST(OverloadController, QuarantineOverlayStacksOverAnyRung) {
-  OverloadController c(EnabledOptions());
-  EXPECT_EQ(c.state(), OverloadState::kNormal);
-  c.NoteQuarantine();
-  EXPECT_EQ(c.state(), OverloadState::kQuarantine);
-  c.NoteQuarantine();  // nested raise
-  c.NoteQuarantineResolved();
-  EXPECT_EQ(c.state(), OverloadState::kQuarantine);  // one still outstanding
-  c.NoteQuarantineResolved();
-  EXPECT_EQ(c.state(), OverloadState::kNormal);
-  // The overlay masks but does not destroy the underlying rung.
-  c.Tick(ConstraintHealth::kViolated, {});
-  c.NoteQuarantine();
-  EXPECT_EQ(c.state(), OverloadState::kQuarantine);
-  c.NoteQuarantineResolved();
-  EXPECT_EQ(c.state(), OverloadState::kShedding);
+  c.Tick(ConstraintHealth::kHealthy);  // builds the healthy streak
+  const OverloadDecision d = c.Tick(ConstraintHealth::kHealthy);
+  EXPECT_FALSE(d.shed_exited);
+  EXPECT_NEAR(d.shed_ratio, 0.45, 1e-12);  // 0.9 * shed_decay
 }
 
 // ---------------------------------------------------------------------------

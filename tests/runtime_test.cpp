@@ -1324,6 +1324,41 @@ TEST(LocalEngineChaining, FaultInFusedMemberFailFastTerminates) {
   EXPECT_LT(result.records_delivered, static_cast<std::uint64_t>(kTotal));
 }
 
+// ------------------------------------------------------ end-to-end latency
+
+TEST(LocalEngine, LatencyRunsFromTheSourceThroughRebuiltRecords) {
+  // Src bursts kTotal records into a Mid that takes 3 ms per record and
+  // emits a freshly built record, so record k waits about k * 3 ms in Mid's
+  // queue.  The rebuilt record inherits its input's source stamp: every
+  // latency covers Mid's 3 ms (fused sink included), and the queue wait
+  // ahead of Mid counts too.
+  constexpr int kTotal = 20;
+  for (const bool chaining : {false, true}) {
+    SCOPED_TRACE(chaining ? "chaining on" : "chaining off");
+    SinkState state;
+    LocalEngineOptions opts;
+    opts.chaining = chaining;
+    LocalEngine engine(LinearGraph(1, 1), opts);
+    engine.SetSource("Src", [total = kTotal](std::uint32_t) {
+      return std::make_unique<CountingSource>(total, milliseconds(0));
+    });
+    engine.SetUdf("Mid", [](std::uint32_t) {
+      return std::make_unique<ScaleUdf>(1, milliseconds(3));
+    });
+    engine.SetUdf("Snk",
+                  [&](std::uint32_t s) { return std::make_unique<CollectSink>(&state, s); });
+    const EngineResult result = engine.Run(FromSeconds(30));
+
+    ASSERT_TRUE(result.clean()) << result.first_failure();
+    EXPECT_EQ(result.chain_forms, chaining ? 1u : 0u);
+    ASSERT_EQ(result.latency.count(), static_cast<std::uint64_t>(kTotal));
+    // Quantile(0) reports a 5 %-wide bucket's lower edge: 2 ms under 3.
+    EXPECT_GE(result.latency.Quantile(0.0), 2e-3);
+    // The last record queued behind ~19 others before Mid saw it.
+    EXPECT_GE(result.latency.Quantile(1.0), 10 * 3e-3);
+  }
+}
+
 // ----------------------------------------------------------- flush on idle
 //
 // With no constraint an adaptive edge's flush deadline is
