@@ -405,20 +405,19 @@ void LocalEngine::Append(Channel& channel, Record record, std::int64_t now) {
 }
 
 void LocalEngine::FlushChannel(Channel& channel, bool force,
-                               std::int64_t now_hint) {
+                               std::int64_t now_hint, bool producer_idle) {
   if (!force) {
     // Lock-free not-due check: non-forced flushes only ever fire for the
-    // adaptive strategy, once the consumer is parked with no wake claimed
-    // (flush on idle) or the oldest buffered record's deadline passed.
+    // adaptive strategy, on the flush-on-idle rule (ShipPartialBuffer).
     // `now_hint` (when lent by the caller's loop) is at most one
     // Produce/batch old -- a not-due verdict it produces is re-examined
     // within microseconds, far inside the millisecond deadline scale.
     if (options_.shipping != ShippingStrategy::kAdaptive) return;
     const std::int64_t fe = channel.first_entry_ns.load(std::memory_order_relaxed);
     if (fe == 0) return;
-    if (!channel.consumer->queue->consumer_parked() &&
-        (now_hint != 0 ? now_hint : NowNs()) - fe <
-            channel.flush_deadline.load(std::memory_order_relaxed)) {
+    if (!ShipPartialBuffer(channel.consumer->queue->consumer_state(), producer_idle,
+                           (now_hint != 0 ? now_hint : NowNs()) - fe,
+                           channel.flush_deadline.load(std::memory_order_relaxed))) {
       return;
     }
   }
@@ -440,10 +439,10 @@ void LocalEngine::FlushChannel(Channel& channel, bool force,
     return;
   }
   const std::int64_t now = NowNs();
-  // A non-forced flush got here because the precheck found the consumer
-  // parked or the deadline passed.  Only a stealer can have touched the
-  // buffer since, and it would have emptied it, so a non-empty buffer is
-  // still due: ship it even if the consumer woke meanwhile.
+  // A non-forced flush got here because the precheck found the buffer due
+  // (ShipPartialBuffer).  Only a stealer can have touched the buffer since,
+  // and it would have emptied it, so a non-empty buffer is still due: ship
+  // it even if the consumer woke meanwhile.
   std::vector<Envelope> flushed;
   flushed.swap(channel.buffer);
   channel.buffer.swap(channel.spare);  // recharge with recycled capacity
@@ -511,14 +510,14 @@ void LocalEngine::DeliverBatch(Channel& channel, std::vector<Envelope>& batch) {
   channel.claim.Release();
 }
 
-void LocalEngine::FlushDue(LocalTask* task, std::int64_t now_hint) {
+void LocalEngine::FlushDue(LocalTask* task, bool idle, std::int64_t now_hint) {
   for (auto& per_edge : task->outputs) {
-    for (Channel* ch : per_edge) FlushChannel(*ch, /*force=*/false, now_hint);
+    for (Channel* ch : per_edge) FlushChannel(*ch, /*force=*/false, now_hint, idle);
   }
   // Fused members' real output channels are also owned by this thread.
   for (LocalTask* m : task->chain_members) {
     for (auto& per_edge : m->outputs) {
-      for (Channel* ch : per_edge) FlushChannel(*ch, /*force=*/false, now_hint);
+      for (Channel* ch : per_edge) FlushChannel(*ch, /*force=*/false, now_hint, idle);
     }
   }
 }
@@ -589,12 +588,12 @@ void LocalEngine::SourceLoopBody(LocalTask* task, RoutingCollector& collector) {
     const bool more = task->source->Produce(collector);
     const std::uint64_t emitted = collector.TakeEmitted();
     task->emitted_n.fetch_add(emitted, std::memory_order_relaxed);
-    // After EVERY Produce call: ships buffers whose consumer is parked
-    // (flush on idle) or whose deadline passed.  An emitting iteration
-    // lends Emit's clock read to the deadline precheck; an idle one
-    // (emitted == 0) must read fresh -- a frozen hint would postpone the
-    // deadline flush indefinitely.
-    FlushDue(task, emitted > 0 ? collector.LastNowNs() : 0);
+    // After EVERY Produce call: ships buffers that are due (flush on idle,
+    // deadline).  A call that emitted nothing is the source's idle signal.
+    // An emitting iteration lends Emit's clock read to the deadline
+    // precheck; an idle one must read fresh -- a frozen hint would postpone
+    // the deadline flush indefinitely.
+    FlushDue(task, /*idle=*/emitted == 0, emitted > 0 ? collector.LastNowNs() : 0);
     if (!more) break;
   }
 }
@@ -773,7 +772,7 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
     }
 
     if (n == 0) {
-      FlushDue(task, now);
+      FlushDue(task, /*idle=*/true, now);
       if (timer_fired) task->busy.store(false);
       if (task->queue->closed() && task->queue->Empty()) break;
       continue;
@@ -822,10 +821,11 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
     // attribution lands under a single sampler-lock acquisition.
     if (!task->chain_members.empty()) FlushChainMetrics(task, now);
     // After EVERY popped batch, fused members' outputs included: the
-    // batch's emissions ship now if their consumer is parked.  Still busy,
-    // so the drain detector cannot see a flush in flight as drained; the
-    // batch's last end stamp is a clock read from this instant.
-    FlushDue(task, end_ns[n - 1]);
+    // batch's emissions ship now if they are due.  A batch short of
+    // kPopBatch drained the input, which is the task's idle signal.  Still
+    // busy, so the drain detector cannot see a flush in flight as drained;
+    // the batch's last end stamp is a clock read from this instant.
+    FlushDue(task, /*idle=*/n < kPopBatch, end_ns[n - 1]);
     task->busy.store(false);
   }
 

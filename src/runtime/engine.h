@@ -9,7 +9,7 @@
 //     consumer UDF is fused into the producer's thread (DESIGN.md §10),
 //   * per-channel output batching with instant / fixed-size / adaptive
 //     deadline flushing, where adaptive buffers also ship as soon as
-//     their consumer is parked (flush on idle, DESIGN.md §14),
+//     their consumer is idle (flush on idle, DESIGN.md §14),
 //   * live QoS reporters/managers feeding the latency model, and
 //   * the elastic scaler, actuated via stop-the-world rescaling: pause
 //     sources, drain, rebuild the runtime graph at the new parallelism,
@@ -264,20 +264,23 @@ class LocalEngine {
   /// stealer's delegated flush request.
   void Append(Channel& channel, Record record, std::int64_t now);
   /// Ships every adaptive output buffer the task's thread owns (fused
-  /// members' included) whose consumer is parked with no wake claimed, or
-  /// whose deadline passed (DESIGN.md §14 "flush on idle").  `now_hint`
-  /// (0 = none) lends the caller's latest clock read to the not-due
-  /// prechecks, skipping one NowNs per loop iteration; it is at most one
-  /// Produce/batch old, inside the deadline tolerance.
-  void FlushDue(LocalTask* task, std::int64_t now_hint = 0);
+  /// members' included) that ShipPartialBuffer finds due: its consumer is
+  /// asleep, or spinning while this producer is `idle` (its Produce call
+  /// emitted nothing / its pop came back short), or its deadline passed
+  /// (DESIGN.md §14 "flush on idle").  `now_hint` (0 = none) lends the
+  /// caller's latest clock read to the not-due prechecks, skipping one
+  /// NowNs per loop iteration; it is at most one Produce/batch old, inside
+  /// the deadline tolerance.
+  void FlushDue(LocalTask* task, bool idle, std::int64_t now_hint = 0);
   /// Flushes a channel's staging buffer.  Non-forced calls run on the
   /// owning producer thread (flush on idle + deadline flushing, adaptive
-  /// only) and are try-only: one TryAcquire, never RequestFlush or a spin.
-  /// Forced calls may also come from the control thread, which STEALS the
-  /// claim under the bounded grace protocol -- an active owner keeps the
-  /// claim and honors the raised flush_requested at its next append/flush
-  /// boundary instead.
-  void FlushChannel(Channel& channel, bool force, std::int64_t now_hint = 0);
+  /// only; `producer_idle` is FlushDue's `idle`) and are try-only: one
+  /// TryAcquire, never RequestFlush or a spin.  Forced calls may also come
+  /// from the control thread, which STEALS the claim under the bounded
+  /// grace protocol -- an active owner keeps the claim and honors the
+  /// raised flush_requested at its next append/flush boundary instead.
+  void FlushChannel(Channel& channel, bool force, std::int64_t now_hint = 0,
+                    bool producer_idle = false);
   /// Offers a flushed batch's output-batch latencies + item counts to the
   /// channel sampler.  Runs AFTER the claim is released: the sampler has
   /// its own (rare) mutex, so O(batch) sampler work never extends the

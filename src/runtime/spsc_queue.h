@@ -197,6 +197,15 @@ class SpscQueue {
     return taken;
   }
 
+  /// Consumer-side poll: true once a chunk is published past the consumer's
+  /// cursor.  Reads `tail_`, the producer's LAST seq_cst store in TryPush
+  /// (the count is published first), so a true here means PopReady will
+  /// find the chunk -- polling the count instead would wake an idle
+  /// consumer into an empty pop inside that window.
+  bool HasChunk() const noexcept ESP_NONBLOCKING {
+    return tail_.load(std::memory_order_seq_cst) != head_.load(std::memory_order_relaxed);
+  }
+
   /// Producer side of the park protocol.  No overall deadline: a full lane
   /// IS the engine's backpressure.  The waits are timed anyway so a lost
   /// wakeup degrades to a 1ms hiccup, not a hang.

@@ -58,9 +58,11 @@ class SourceFunction {
   /// Emits zero or more records.  Returning false ends the source.
   ///
   /// Pace BEFORE emitting, never after: the engine ships output buffers
-  /// (to a parked consumer, or on a deadline) only between Produce calls,
+  /// (to an idle consumer, or on a deadline) only between Produce calls,
   /// so a record emitted before a sleep inside the same call waits out the
-  /// whole sleep in its buffer.
+  /// whole sleep in its buffer.  A call that emits nothing marks the
+  /// source idle, which ships its buffers even to a consumer that is still
+  /// spinning (DESIGN.md §14 "Flush on idle").
   virtual bool Produce(Collector& out) = 0;
 };
 

@@ -408,43 +408,49 @@ TEST(SpscQueue, ConcurrentStressKeepsOrderAndCount) {
 
 // ------------------------------------------------------------ wake claim
 //
-// "Parked" means asleep with no wake claimed yet: the push that finds the
-// consumer parked claims its wake (consumer_parked() reads false once that
-// push returns) and wakes it.  LocalEngine's flush on idle polls this
-// query, so a stale true would ship one record per poll.
+// An idle consumer spins, then sleeps.  The push that finds it idle claims
+// it (consumer_state() reads kAwake once that push returns) and, if it was
+// asleep, wakes it.  LocalEngine's flush on idle polls this query, so a
+// stale idle state would ship one record per poll.
 
 TEST(SpscQueue, PushClaimsTheParkedConsumersWake) {
-  // Parks a consumer on a 5 s pop, pushes one record once it is parked,
-  // and checks the push claimed the wake and the pop returned well before
-  // its timeout.
-  SingleLaneQueue q(16, 1);
-  EXPECT_FALSE(q.consumer_parked());
-  std::size_t popped = 0;
-  std::chrono::steady_clock::duration waited{};
-  std::thread consumer([&] {
-    std::vector<int> out;
-    const auto t0 = std::chrono::steady_clock::now();
-    popped = q.PopBatchFor(16, std::chrono::seconds(5), out);
-    waited = std::chrono::steady_clock::now() - t0;
-  });
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!q.consumer_parked() && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::yield();
+  // Idles a consumer on a 5 s pop, pushes one record once it is inside its
+  // spin (a spin longer than the pop) or asleep past it, and checks the
+  // push claimed it and the pop returned well before its timeout.
+  for (const ConsumerState idle : {ConsumerState::kSpinning, ConsumerState::kAsleep}) {
+    SCOPED_TRACE(idle == ConsumerState::kSpinning ? "spinning" : "asleep");
+    SingleLaneQueue q(16, 1,
+                      idle == ConsumerState::kSpinning ? nanoseconds(std::chrono::seconds(30))
+                                                       : kConsumerSpin);
+    EXPECT_EQ(q.consumer_state(), ConsumerState::kAwake);
+    std::size_t popped = 0;
+    std::chrono::steady_clock::duration waited{};
+    std::thread consumer([&] {
+      std::vector<int> out;
+      const auto t0 = std::chrono::steady_clock::now();
+      popped = q.PopBatchFor(16, std::chrono::seconds(5), out);
+      waited = std::chrono::steady_clock::now() - t0;
+    });
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (q.consumer_state() != idle && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(q.consumer_state(), idle) << "consumer never reached the idle phase";
+    ASSERT_TRUE(Push(q, {1}));
+    EXPECT_EQ(q.consumer_state(), ConsumerState::kAwake) << "the push left it unclaimed";
+    consumer.join();
+    EXPECT_EQ(popped, 1u);
+    EXPECT_LT(waited, std::chrono::seconds(1));
   }
-  ASSERT_TRUE(q.consumer_parked()) << "consumer never parked";
-  ASSERT_TRUE(Push(q, {1}));
-  EXPECT_FALSE(q.consumer_parked()) << "the push left the wake unclaimed";
-  consumer.join();
-  EXPECT_EQ(popped, 1u);
-  EXPECT_LT(waited, std::chrono::seconds(1));
 }
 
 TEST(SpscQueue, WakeClaimStressWithOneRecordBatches) {
-  // One-record pushes against a consumer that parks between them: most
-  // pushes wait for the park and must claim the wake, every third races
-  // the consumer's wake-up instead.  A lost wake shows as a pop that
+  // One-record pushes against a consumer that idles between them, with
+  // gaps straddling its spin bound: none (races the wake-up), until it
+  // spins, a busy wait of 0.5-1.5 spin bounds (either side of the spin ->
+  // sleep edge), and until it sleeps.  A lost wake shows as a pop that
   // sleeps out its 2 s timeout; under TSan this grades the claim exchange
-  // against the park.
+  // against the spin-to-sleep compare-exchange.
   constexpr int kTotal = 2000;
   SingleLaneQueue q(64, 1);
   int received = 0;
@@ -456,8 +462,8 @@ TEST(SpscQueue, WakeClaimStressWithOneRecordBatches) {
       const std::size_t n = q.PopBatchFor(64, std::chrono::seconds(2), out);
       if (n == 0) {
         if (q.closed() && q.Empty()) break;
-        // An early empty return is a benign race (count published, cursor
-        // not yet); sleeping out most of the timeout is a lost wake.
+        // An early empty return is benign; sleeping out most of the
+        // timeout is a lost wake.
         if (std::chrono::steady_clock::now() - t0 >= std::chrono::seconds(1)) ++stalls;
         continue;
       }
@@ -467,10 +473,29 @@ TEST(SpscQueue, WakeClaimStressWithOneRecordBatches) {
       }
     }
   });
+  const auto wait_for = [&](ConsumerState state) {
+    for (int spin = 0; spin < 10'000 && q.consumer_state() != state; ++spin) {
+      std::this_thread::yield();
+    }
+  };
   std::vector<int> batch;
   for (int i = 0; i < kTotal; ++i) {
-    for (int spin = 0; i % 3 != 0 && spin < 10'000 && !q.consumer_parked(); ++spin) {
-      std::this_thread::yield();
+    switch (i % 4) {
+      case 1:
+        wait_for(ConsumerState::kSpinning);
+        break;
+      case 2: {
+        const auto until =
+            std::chrono::steady_clock::now() + kConsumerSpin * (50 + i % 101) / 100;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        break;
+      }
+      case 3:
+        wait_for(ConsumerState::kAsleep);
+        break;
+      default:
+        break;
     }
     batch.push_back(i);
     ASSERT_TRUE(q.PushAll(0, batch));
